@@ -5,7 +5,7 @@ GO ?= go
 # CI run by exporting the seed it printed: CRASHCHECK_SEED=<n> make fuzz-crash
 CRASHCHECK_SEED ?= 1
 
-.PHONY: build test check race bench bench-cache bench-json bench-scale bench-soak bench-streams bench-tenants bench-writepath profile fuzz-crash fmt
+.PHONY: build test check race bench bench-cache bench-json bench-module bench-scale bench-soak bench-streams bench-tenants bench-writepath profile fuzz-crash fmt loc
 
 build:
 	$(GO) build ./...
@@ -15,13 +15,15 @@ test:
 
 # check is the tier-1 gate: vet, build, and the full test suite under the
 # race detector (includes the fault-injection and crash-point fuzzing
-# suites), plus the whole-stack crash harness sample and the
-# machine-readable report smoke check. Run it before sending a change.
+# suites), plus the whole-stack crash harness sample, the repository
+# benchmark's own module and the machine-readable report smoke check. Run
+# it before sending a change.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(MAKE) fuzz-crash
+	$(MAKE) bench-module
 	$(MAKE) bench-json
 	$(MAKE) bench-scale
 	$(MAKE) bench-soak
@@ -41,6 +43,19 @@ check:
 # `go test ./internal/crashcheck/` — visits every boundary exhaustively.
 fuzz-crash:
 	CRASHCHECK_SEED=$(CRASHCHECK_SEED) $(GO) test -short -count=1 ./internal/crashcheck/
+
+# bench-module vets and tests benchmark/, which is a module of its own
+# (same GOWORK/GOTOOLCHAIN settings as benchmark/run.sh) and so is never
+# compiled by the commands above: an API change under one of its adapters
+# would otherwise go unnoticed until the benchmark pipeline runs.
+bench-module:
+	cd benchmark && export GOWORK=off GOTOOLCHAIN=local && $(GO) vet ./... && $(GO) test ./...
+
+# loc prints the non-test Go line count outside benchmark/ — the number
+# ROADMAP's "line count going down" aim is tracked by, one per PR in
+# CHANGES.md.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l
 
 # race is check without vet/build, for quick re-runs.
 race:

@@ -100,15 +100,8 @@ func init() {
 				dev.ResetStats()
 				start := task.Now()
 				if batched {
-					max := dev.MaxShareBatch()
-					for i := 0; i < len(pairs); i += max {
-						end := i + max
-						if end > len(pairs) {
-							end = len(pairs)
-						}
-						if err := dev.Share(task, pairs[i:end]); err != nil {
-							return "", err
-						}
+					if err := dev.ShareAll(task, pairs); err != nil {
+						return "", err
 					}
 				} else {
 					for _, pr := range pairs {

@@ -9,6 +9,8 @@ import (
 	"container/list"
 	"fmt"
 	"io"
+	"sort"
+	"sync"
 
 	"share/internal/fsim"
 	"share/internal/sim"
@@ -49,13 +51,17 @@ type Pool struct {
 	// FlushBatchSize is how many dirty pages are flushed together when
 	// eviction or a checkpoint needs clean frames (the doublewrite batch).
 	FlushBatchSize int
-	// Protected, when set, excludes pages from FlushSome — the engine's
-	// no-steal guard for pages dirtied by the transaction being applied.
-	Protected func(pageNo uint32) bool
-	// OnDirty, when set, is called each time a frame is marked dirty; the
-	// engine uses it to collect the pages a transaction touched so their
-	// images can be logged at commit.
-	OnDirty func(pageNo uint32)
+
+	// No-steal state: FlushSome skips the pages the transaction being
+	// applied has dirtied so far (collecting/txnPages, guarded by the
+	// engine latch like the rest of the pool) and every page holding a
+	// Protect pin. The pins have their own leaf lock because Unprotect runs
+	// after the commit's log sync, outside the engine latch.
+	collecting bool
+	txnPages   map[uint32]bool
+	protMu     sync.Mutex
+	protected  map[uint32]int
+
 	// MissOverlay, when set, is consulted on a cache miss before the file:
 	// a non-nil return supplies the page content. WAL-style engines use it
 	// to serve pages whose newest version lives in the log, not the file.
@@ -91,7 +97,53 @@ func New(file *fsim.File, pageSize, capacity int, flusher Flusher) (*Pool, error
 		frames:         make(map[uint32]*Frame),
 		lru:            list.New(),
 		FlushBatchSize: 32,
+		protected:      make(map[uint32]int),
 	}, nil
+}
+
+// BeginCollect starts a transaction's dirty set: from here to EndCollect
+// every page marked dirty is recorded and excluded from FlushSome, so no
+// part of an unfinished transaction can reach storage (no-steal).
+func (p *Pool) BeginCollect() {
+	p.collecting = true
+	p.txnPages = make(map[uint32]bool)
+}
+
+// EndCollect closes the dirty set and returns its pages in ascending
+// order — what the engine logs or stages at commit. The pages lose their
+// no-steal cover here; a commit that is not yet durable hands them to
+// Protect before anything can flush.
+func (p *Pool) EndCollect() []uint32 {
+	pages := make([]uint32, 0, len(p.txnPages))
+	for pageNo := range p.txnPages {
+		pages = append(pages, pageNo)
+	}
+	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	p.collecting = false
+	p.txnPages = nil
+	return pages
+}
+
+// Protect pins pages against FlushSome until Unprotect. Pins are
+// refcounted: concurrent commits may have dirtied the same page.
+func (p *Pool) Protect(pages []uint32) {
+	p.protMu.Lock()
+	for _, pageNo := range pages {
+		p.protected[pageNo]++
+	}
+	p.protMu.Unlock()
+}
+
+// Unprotect drops the pins taken by Protect. Unlike the rest of the pool
+// it is safe to call without the engine latch.
+func (p *Pool) Unprotect(pages []uint32) {
+	p.protMu.Lock()
+	for _, pageNo := range pages {
+		if p.protected[pageNo]--; p.protected[pageNo] <= 0 {
+			delete(p.protected, pageNo)
+		}
+	}
+	p.protMu.Unlock()
 }
 
 // PageSize returns the pool's page size.
@@ -187,17 +239,20 @@ func (p *Pool) cleanVictim() *Frame {
 }
 
 // FlushSome flushes up to n dirty unpinned pages (LRU-first) through the
-// engine's Flusher as one batch.
+// engine's Flusher as one batch, leaving no-steal pages alone.
 func (p *Pool) FlushSome(t *sim.Task, n int) error {
 	var batch []PageImage
 	var frames []*Frame
+	p.protMu.Lock()
 	for e := p.lru.Back(); e != nil && len(batch) < n; e = e.Prev() {
 		f := e.Value.(*Frame)
-		if f.dirty && f.pins == 0 && (p.Protected == nil || !p.Protected(f.pageNo)) {
+		noSteal := p.collecting && p.txnPages[f.pageNo] || p.protected[f.pageNo] > 0
+		if f.dirty && f.pins == 0 && !noSteal {
 			batch = append(batch, PageImage{PageNo: f.pageNo, Data: f.Data})
 			frames = append(frames, f)
 		}
 	}
+	p.protMu.Unlock()
 	if len(batch) == 0 {
 		return nil
 	}
@@ -266,8 +321,8 @@ func (f *Frame) PageNo() uint32 { return f.pageNo }
 // MarkDirty flags the frame for the next flush.
 func (f *Frame) MarkDirty() {
 	f.dirty = true
-	if f.pool.OnDirty != nil {
-		f.pool.OnDirty(f.pageNo)
+	if f.pool.collecting {
+		f.pool.txnPages[f.pageNo] = true
 	}
 }
 

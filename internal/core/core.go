@@ -2,8 +2,6 @@
 // layer the paper describes between applications and the SHARE-capable
 // device (its prototype speaks ioctl to the OpenSSD firmware). It provides
 //
-//   - batch management: arbitrarily large pair lists are split into
-//     device-sized commands, each of which is individually atomic;
 //   - an atomic multi-page commit primitive (journal-free shadow write +
 //     one SHARE batch), the pattern InnoDB's doublewrite integration and
 //     the SQLite discussion in §3.3 both reduce to;
@@ -20,57 +18,6 @@ import (
 
 // Pair re-exports the SHARE remapping pair.
 type Pair = ssd.Pair
-
-// ShareAll issues pairs to the device, splitting into batches no larger
-// than the device's atomic limit. Each issued command is atomic; the whole
-// sequence is not (callers needing all-or-nothing across more pages than
-// one batch must keep their journal copy valid until completion, which is
-// exactly what the doublewrite integration does).
-func ShareAll(t *sim.Task, dev *ssd.Device, pairs []Pair) error {
-	maxUnits := dev.MaxShareBatch()
-	var batch []Pair
-	units := 0
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		err := dev.Share(t, batch)
-		batch = batch[:0]
-		units = 0
-		return err
-	}
-	for _, p := range pairs {
-		if p.Len == 0 {
-			return fmt.Errorf("core: zero-length share pair")
-		}
-		if int(p.Len) > maxUnits {
-			// Split one oversized ranged pair across batches.
-			if err := flush(); err != nil {
-				return err
-			}
-			off := uint32(0)
-			for off < p.Len {
-				n := p.Len - off
-				if int(n) > maxUnits {
-					n = uint32(maxUnits)
-				}
-				if err := dev.Share(t, []Pair{{Dst: p.Dst + off, Src: p.Src + off, Len: n}}); err != nil {
-					return err
-				}
-				off += n
-			}
-			continue
-		}
-		if units+int(p.Len) > maxUnits {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		batch = append(batch, p)
-		units += int(p.Len)
-	}
-	return flush()
-}
 
 // AtomicWriter commits groups of page updates atomically without a
 // redundant second write: new versions are first written to a scratch

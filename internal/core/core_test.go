@@ -21,68 +21,6 @@ func testDev(t *testing.T, blocks int) (*ssd.Device, *sim.Task) {
 	return dev, sim.NewSoloTask("t")
 }
 
-func TestShareAllSplitsBatches(t *testing.T) {
-	dev, task := testDev(t, 128)
-	n := dev.MaxShareBatch()*2 + 7
-	buf := make([]byte, dev.PageSize())
-	var pairs []Pair
-	for i := 0; i < n; i++ {
-		src := uint32(1000 + i)
-		dst := uint32(i)
-		buf[0] = byte(i)
-		if err := dev.WritePage(task, src, buf); err != nil {
-			t.Fatal(err)
-		}
-		pairs = append(pairs, Pair{Dst: dst, Src: src, Len: 1})
-	}
-	if err := ShareAll(task, dev, pairs); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, dev.PageSize())
-	for i := 0; i < n; i++ {
-		if err := dev.ReadPage(task, uint32(i), got); err != nil {
-			t.Fatal(err)
-		}
-		if got[0] != byte(i) {
-			t.Fatalf("dst %d = %x", i, got[0])
-		}
-	}
-	if cmds := dev.Stats().FTL.Shares; cmds < 3 {
-		t.Fatalf("expected >= 3 commands, got %d", cmds)
-	}
-}
-
-func TestShareAllOversizedRangedPair(t *testing.T) {
-	dev, task := testDev(t, 256)
-	n := uint32(dev.MaxShareBatch() + 10)
-	buf := make([]byte, dev.PageSize())
-	for i := uint32(0); i < n; i++ {
-		buf[0] = byte(i)
-		if err := dev.WritePage(task, 2000+i, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ShareAll(task, dev, []Pair{{Dst: 0, Src: 2000, Len: n}}); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, dev.PageSize())
-	for i := uint32(0); i < n; i++ {
-		if err := dev.ReadPage(task, i, got); err != nil {
-			t.Fatal(err)
-		}
-		if got[0] != byte(i) {
-			t.Fatalf("page %d = %x", i, got[0])
-		}
-	}
-}
-
-func TestShareAllRejectsZeroLen(t *testing.T) {
-	dev, task := testDev(t, 128)
-	if err := ShareAll(task, dev, []Pair{{Dst: 0, Src: 1, Len: 0}}); err == nil {
-		t.Fatal("zero-length pair accepted")
-	}
-}
-
 func TestAtomicWriterCommit(t *testing.T) {
 	dev, task := testDev(t, 128)
 	buf := make([]byte, dev.PageSize())

@@ -3,9 +3,8 @@ package couch
 import (
 	"sync/atomic"
 
-	"share/internal/core"
+	"share/internal/fsim"
 	"share/internal/sim"
-	"share/internal/ssd"
 )
 
 // CompactStats reports one compaction run.
@@ -27,11 +26,11 @@ type CompactStats struct {
 func (s *Store) Compact(t *sim.Task) (CompactStats, error) {
 	s.mu.Lock(t)
 	defer s.mu.Unlock(t)
-	if s.degraded.Load() {
+	if s.Degraded() {
 		return CompactStats{}, ErrReadOnly
 	}
 	cs, err := s.compact(t)
-	return cs, s.noteDeviceErr(err)
+	return cs, s.Note(err)
 }
 
 func (s *Store) compact(t *sim.Task) (CompactStats, error) {
@@ -84,39 +83,13 @@ func (s *Store) compact(t *sim.Task) (CompactStats, error) {
 		// page of each document is read from the old file to obtain the
 		// length for the share command.
 		hdr := make([]byte, s.page)
-		var pairs []ssd.Pair
+		var segs []fsim.ShareSeg
 		if err := s.walkDocs(t, func(key []byte, ref docRef) error {
 			if _, err := s.file.ReadAt(t, hdr, ref.off); err != nil {
 				return err
 			}
 			bytes := int64(ref.pages) * int64(s.page)
-			se, err := s.file.MapRange(ref.off, bytes)
-			if err != nil {
-				return err
-			}
-			de, err := dst.MapRange(dstEOF, bytes)
-			if err != nil {
-				return err
-			}
-			di, si := 0, 0
-			var dOff, sOff uint32
-			for di < len(de) && si < len(se) {
-				run := de[di].Len - dOff
-				if r := se[si].Len - sOff; r < run {
-					run = r
-				}
-				pairs = append(pairs, ssd.Pair{Dst: de[di].Start + dOff, Src: se[si].Start + sOff, Len: run})
-				dOff += run
-				sOff += run
-				if dOff == de[di].Len {
-					di++
-					dOff = 0
-				}
-				if sOff == se[si].Len {
-					si++
-					sOff = 0
-				}
-			}
+			segs = append(segs, fsim.ShareSeg{Dst: dst, DstOff: dstEOF, Src: s.file, SrcOff: ref.off, Len: bytes})
 			k := append([]byte(nil), key...)
 			entries = append(entries, entryKV{key: k, ref: docRef{off: dstEOF, pages: ref.pages, vlen: ref.vlen}})
 			dstEOF += bytes
@@ -126,7 +99,7 @@ func (s *Store) compact(t *sim.Task) (CompactStats, error) {
 		}); err != nil {
 			return cs, err
 		}
-		if err := core.ShareAll(t, s.fs.Device(), pairs); err != nil {
+		if err := s.fs.ShareVec(t, segs); err != nil {
 			return cs, err
 		}
 	} else {

@@ -93,6 +93,58 @@ func TestUpdatesVisible(t *testing.T) {
 	}
 }
 
+// A Get or Scan inside an open batch returns the batch's own last Set of the
+// key, with no doc cache to paper over it: in SHARE mode the index still
+// points at the old location until commit, so the read must follow the
+// pending remap — the newest one when the key was set twice. Snapshot readers keep seeing
+// the committed version.
+func TestGetSeesOpenBatch(t *testing.T) {
+	for _, share := range []bool{false, true} {
+		t.Run(fmt.Sprintf("share=%v", share), func(t *testing.T) {
+			s, _, task := testStore(t, 256, func(c *Config) {
+				c.ShareMode = share
+				c.BatchSize = 8
+				c.DocCacheEntries = 0
+			})
+			key := []byte("doc1")
+			expect := func(what string, i int) {
+				t.Helper()
+				v, ok, err := s.Get(task, key)
+				if err != nil || !ok || !bytes.Equal(v, val(i, 400)) {
+					t.Fatalf("%s: got %.8q (%v %v), want version %d", what, v, ok, err, i)
+				}
+				if err := s.Scan(task, key, nil, func(_, v []byte) bool {
+					if !bytes.Equal(v, val(i, 400)) {
+						t.Fatalf("%s: scan got %.8q, want version %d", what, v, i)
+					}
+					return false
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Set(task, key, val(1, 400)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Commit(task); err != nil {
+				t.Fatal(err)
+			}
+			for i := 2; i <= 3; i++ {
+				if err := s.Set(task, key, val(i, 400)); err != nil {
+					t.Fatal(err)
+				}
+				expect("inside the open batch", i)
+			}
+			if v, ok, err := s.Snapshot(task).Get(task, key); err != nil || !ok || !bytes.Equal(v, val(1, 400)) {
+				t.Fatalf("snapshot mid-batch: got %.8q (%v %v), want the committed version 1", v, ok, err)
+			}
+			if err := s.Commit(task); err != nil {
+				t.Fatal(err)
+			}
+			expect("after commit", 3)
+		})
+	}
+}
+
 func TestShareModeAvoidsTreeWrites(t *testing.T) {
 	load := func(share bool) (nodePages int64, docPages int64) {
 		s, _, task := testStore(t, 512, func(c *Config) {

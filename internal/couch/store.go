@@ -15,7 +15,6 @@ package couch
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -27,7 +26,7 @@ import (
 // ErrReadOnly is returned by mutating operations after the underlying
 // device degraded to read-only (spare blocks exhausted). Get and Scan
 // keep serving from the still-readable file and the caches.
-var ErrReadOnly = errors.New("couch: store is read-only (device degraded)")
+var ErrReadOnly = fmt.Errorf("couch: store is read-only: %w", ftl.ErrReadOnly)
 
 // Config tunes the store.
 type Config struct {
@@ -130,10 +129,9 @@ type Store struct {
 	// refuse to read after the file they reference has been swapped away.
 	compactEpoch atomic.Int64
 
-	// degraded is latched when a device write fails with ftl.ErrReadOnly;
-	// mutating operations then fail fast with ErrReadOnly while reads keep
-	// serving.
-	degraded atomic.Bool
+	// Latched when a device write fails with ftl.ErrReadOnly; mutating
+	// operations then fail fast with ErrReadOnly while reads keep serving.
+	ftl.ReadOnlyLatch
 
 	st Stats // counters updated via atomics; read with Stats()
 }
@@ -157,6 +155,7 @@ func Open(t *sim.Task, fs *fsim.FS, cfg Config) (*Store, error) {
 		nodeCache:     make(map[int64]*node),
 		docCache:      make(map[string][]byte),
 		committedRoot: -1,
+		ReadOnlyLatch: ftl.NewReadOnlyLatch(ErrReadOnly),
 	}
 	if fs.Exists(cfg.Name) {
 		f, err := fs.Open(t, cfg.Name)
@@ -337,24 +336,9 @@ func (s *Store) Stats() Stats {
 	st.HeaderPages = atomic.LoadInt64(&s.st.HeaderPages)
 	st.SharePairs = atomic.LoadInt64(&s.st.SharePairs)
 	st.Compactions = atomic.LoadInt64(&s.st.Compactions)
-	st.ReadOnlyTransitions = atomic.LoadInt64(&s.st.ReadOnlyTransitions)
-	st.Degraded = s.degraded.Load()
+	st.ReadOnlyTransitions = s.ReadOnlyTransitions()
+	st.Degraded = s.Degraded()
 	return st
-}
-
-// Degraded reports whether the store has switched to read-only serving.
-func (s *Store) Degraded() bool { return s.degraded.Load() }
-
-// noteDeviceErr translates a device-level read-only failure into the
-// typed store error, latching the degraded state on first sight.
-func (s *Store) noteDeviceErr(err error) error {
-	if err == nil || !errors.Is(err, ftl.ErrReadOnly) {
-		return err
-	}
-	if s.degraded.CompareAndSwap(false, true) {
-		atomic.AddInt64(&s.st.ReadOnlyTransitions, 1)
-	}
-	return ErrReadOnly
 }
 
 // FS returns the file system the store lives on.

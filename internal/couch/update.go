@@ -6,9 +6,8 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"share/internal/core"
+	"share/internal/fsim"
 	"share/internal/sim"
-	"share/internal/ssd"
 )
 
 const (
@@ -45,9 +44,19 @@ func (s *Store) writeDoc(t *sim.Task, key, value []byte) (docRef, error) {
 	return ref, nil
 }
 
-// readDoc fetches and validates a document; n limits how many of its
-// pages are read (0 = all).
+// readDoc fetches and validates the document an index entry refers to.
+// Inside an open SHARE-mode batch the index still points at the old
+// location of a document set again — commit remaps it — so the read follows
+// the newest deferred remap to the appended copy: Get and Scan see the
+// batch's own writes in both modes. A batch is at most BatchSize entries;
+// walking it needs no second index.
 func (s *Store) readDoc(t *sim.Task, ref docRef, wantKey []byte) ([]byte, error) {
+	for i := len(s.shares) - 1; i >= 0; i-- {
+		if s.shares[i].oldOff == ref.off {
+			ref.off = s.shares[i].newOff
+			break
+		}
+	}
 	buf := make([]byte, int(ref.pages)*s.page)
 	if _, err := s.file.ReadAt(t, buf, ref.off); err != nil {
 		return nil, err
@@ -108,9 +117,10 @@ func (s *Store) lookup(t *sim.Task, key []byte) (docRef, bool, error) {
 	return n.refs[i], true, nil
 }
 
-// Get returns the current value of key. It takes the store latch (the
-// lookup resolves nodes into the shared caches); use Snapshot for reads
-// that must not queue behind writers.
+// Get returns the current value of key, including one Set earlier in the
+// still-open batch (see readDoc). It takes the store latch (the lookup resolves nodes
+// into the shared caches); use Snapshot for committed-state reads that must
+// not queue behind writers.
 func (s *Store) Get(t *sim.Task, key []byte) ([]byte, bool, error) {
 	s.mu.Lock(t)
 	defer s.mu.Unlock(t)
@@ -157,10 +167,10 @@ func (s *Store) cacheDoc(key, v []byte) {
 func (s *Store) Set(t *sim.Task, key, value []byte) error {
 	s.mu.Lock(t)
 	defer s.mu.Unlock(t)
-	if s.degraded.Load() {
+	if s.Degraded() {
 		return ErrReadOnly
 	}
-	return s.noteDeviceErr(s.set(t, key, value))
+	return s.Note(s.set(t, key, value))
 }
 
 func (s *Store) set(t *sim.Task, key, value []byte) error {
@@ -208,11 +218,11 @@ func (s *Store) set(t *sim.Task, key, value []byte) error {
 func (s *Store) Delete(t *sim.Task, key []byte) (bool, error) {
 	s.mu.Lock(t)
 	defer s.mu.Unlock(t)
-	if s.degraded.Load() {
+	if s.Degraded() {
 		return false, ErrReadOnly
 	}
 	found, err := s.del(t, key)
-	return found, s.noteDeviceErr(err)
+	return found, s.Note(err)
 }
 
 func (s *Store) del(t *sim.Task, key []byte) (bool, error) {
@@ -250,10 +260,10 @@ func (s *Store) commitLocked(t *sim.Task) error {
 	if s.pending == 0 && len(s.shares) == 0 && !s.root.dirty {
 		return nil
 	}
-	if s.degraded.Load() {
+	if s.Degraded() {
 		return ErrReadOnly
 	}
-	return s.noteDeviceErr(s.commit(t))
+	return s.Note(s.commit(t))
 }
 
 func (s *Store) commit(t *sim.Task) error {
@@ -280,46 +290,20 @@ func (s *Store) commit(t *sim.Task) error {
 
 // applyShares issues the batch's remaps and trims the tail copies.
 func (s *Store) applyShares(t *sim.Task) error {
-	dev := s.fs.Device()
-	var pairs []ssd.Pair
-	for _, sh := range s.shares {
-		dst, err := s.file.MapRange(sh.oldOff, int64(sh.pages)*int64(s.page))
-		if err != nil {
-			return err
-		}
-		src, err := s.file.MapRange(sh.newOff, int64(sh.pages)*int64(s.page))
-		if err != nil {
-			return err
-		}
-		di, si := 0, 0
-		var dOff, sOff uint32
-		for di < len(dst) && si < len(src) {
-			run := dst[di].Len - dOff
-			if r := src[si].Len - sOff; r < run {
-				run = r
-			}
-			pairs = append(pairs, ssd.Pair{Dst: dst[di].Start + dOff, Src: src[si].Start + sOff, Len: run})
-			dOff += run
-			sOff += run
-			if dOff == dst[di].Len {
-				di++
-				dOff = 0
-			}
-			if sOff == src[si].Len {
-				si++
-				sOff = 0
-			}
-		}
-		atomic.AddInt64(&s.st.SharePairs, 1)
+	segs := make([]fsim.ShareSeg, len(s.shares))
+	for i, sh := range s.shares {
+		segs[i] = fsim.ShareSeg{Dst: s.file, DstOff: sh.oldOff, Src: s.file, SrcOff: sh.newOff, Len: int64(sh.pages) * int64(s.page)}
 	}
-	if err := core.ShareAll(t, dev, pairs); err != nil {
+	atomic.AddInt64(&s.st.SharePairs, int64(len(segs)))
+	if err := s.fs.ShareVec(t, segs); err != nil {
 		return err
 	}
 	// The tail copies are now redundant: the old locations carry the new
 	// content. Trim them so the device reclaims the space; the file-level
 	// bytes stay accounted as stale until compaction shrinks the file.
-	for _, sh := range s.shares {
-		exts, err := s.file.MapRange(sh.newOff, int64(sh.pages)*int64(s.page))
+	dev := s.fs.Device()
+	for _, sg := range segs {
+		exts, err := s.file.MapRange(sg.SrcOff, sg.Len)
 		if err != nil {
 			return err
 		}
@@ -328,7 +312,7 @@ func (s *Store) applyShares(t *sim.Task) error {
 				return err
 			}
 		}
-		s.stale += int64(sh.pages) * int64(s.page)
+		s.stale += sg.Len
 	}
 	s.shares = s.shares[:0]
 	return nil

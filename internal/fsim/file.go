@@ -136,8 +136,12 @@ func (f *File) lpnAt(pageOff uint32) (lpn uint32, run uint32, err error) {
 }
 
 // MapRange translates the page-aligned byte range [off, off+length) into
-// device extents (a FIEMAP query). Engines use it to build scattered SHARE
-// batches that fsim.ShareRange's single contiguous range cannot express.
+// device extents, physically adjacent ones merged (a FIEMAP query). It is
+// for callers that address device pages themselves — a post-remap Trim, an
+// atomic multi-page write; SHARE goes through FS.ShareVec, which pairs two
+// such maps itself. Like Size and Extents it reads the handle's inode
+// without the FS latch: only operations on this same file change it, and
+// those are the caller's to coordinate.
 func (f *File) MapRange(off, length int64) ([]Extent, error) {
 	ps := int64(f.fs.pageSize)
 	if off%ps != 0 || length%ps != 0 {

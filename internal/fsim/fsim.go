@@ -11,10 +11,11 @@
 //     keeps the paper's InnoDB host-write reduction below the ideal 50%;
 //   - crash recovery at mount: committed journal transactions are replayed
 //     into the metadata home locations;
-//   - the SHARE ioctl: ShareRange translates file offsets to LPNs through
-//     the extent maps of both files and issues device SHARE commands,
-//     coalescing contiguous runs and splitting to the device's atomic
-//     batch limit.
+//   - the SHARE ioctl: ShareVec (ShareRange for one range) translates
+//     file offsets to LPNs through the extent maps of both files — one
+//     pair per physically contiguous run — and hands the pair list to the
+//     device's ShareAll, which packs it into atomic commands. Engines never
+//     build pairs themselves.
 package fsim
 
 import (
@@ -46,7 +47,7 @@ var (
 	// ErrNoSpace is returned when the data area or an inode's extent list
 	// is exhausted.
 	ErrNoSpace = errors.New("fsim: no space")
-	// ErrAlign is returned by ShareRange for unaligned arguments.
+	// ErrAlign is returned by ShareVec and MapRange for unaligned arguments.
 	ErrAlign = errors.New("fsim: share range must be page aligned")
 )
 
@@ -81,13 +82,15 @@ type layout struct {
 // Concurrency: a dual-mode sim.Mutex latch serializes every operation
 // that touches shared metadata (directory, inode table, bitmap, journal,
 // trim queue), so multiple sessions — scheduler tasks or real solo-task
-// goroutines — can drive one FS. Data-page I/O in ReadAt/WriteAt runs
-// outside the latch (the extent map is resolved under it first), so
-// sessions working on different files overlap at the device exactly like
-// O_DIRECT traffic. Concurrent access to the *same* file is the
-// application's job to coordinate, as with POSIX. Exists/Stats/Fsck/
-// FreePages read without the latch and are meant for setup and
-// post-run checks on a quiescent FS.
+// goroutines — can drive one FS. Device commands for file data — the page
+// I/O of ReadAt/WriteAt and the SHARE commands of ShareVec — run outside
+// the latch (the extent maps are resolved under it first), so sessions
+// working on different files overlap at the device exactly like O_DIRECT
+// traffic. Concurrent access to the *same* file is the application's job
+// to coordinate, as with POSIX; the per-handle queries (Size, Extents,
+// AllocatedPages, MapRange) rely on that and read their own inode
+// unlatched. Exists/Stats/Fsck/FreePages also read without the latch and
+// are meant for setup and post-run checks on a quiescent FS.
 type FS struct {
 	dev      *ssd.Device
 	pageSize int

@@ -3,6 +3,7 @@ package fsim
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -573,5 +574,87 @@ func TestFsckCleanAfterChurn(t *testing.T) {
 	fs2 := crashMount(t, dev, task)
 	if err := fs2.Fsck(); err != nil {
 		t.Fatalf("post-remount: %v", err)
+	}
+}
+
+// oddHoles leaves the file system with n free 5-page holes and nothing
+// else: 5-page and 4-page files alternate, the 5-page ones are removed and
+// the free tail is filled. Files allocated afterwards grow in 5-page
+// extents, so their extent boundaries fall at offsets no power-of-two
+// engine page lines up with.
+func oddHoles(t *testing.T, fs *FS, task *sim.Task, n int) {
+	t.Helper()
+	alloc := func(name string, pages int) {
+		f, err := fs.Create(task, name)
+		if err == nil {
+			err = f.Allocate(task, 0, int64(pages)*512)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		alloc(fmt.Sprintf("hole%d", i), 5)
+		alloc(fmt.Sprintf("keep%d", i), 4)
+	}
+	for i := 0; i < n; i++ {
+		if err := fs.Remove(task, fmt.Sprintf("hole%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.SyncMeta(task); err != nil {
+		t.Fatal(err)
+	}
+	alloc("tail", fs.FreePages()-5*n)
+}
+
+// Two files whose extent maps split at different offsets: the destination
+// is one extent, the source five-page runs, the segments two pages. Every
+// pair must end where either side's run ends — pairing the i-th extent of
+// one file with the i-th of the other remaps the wrong pages.
+func TestShareVecMismatchedExtents(t *testing.T) {
+	fs, dev, task := testFS(t, 64)
+	const pages = 20
+	dst, _ := fs.Create(task, "dst")
+	if err := dst.Allocate(task, 0, pages*512); err != nil {
+		t.Fatal(err)
+	}
+	oddHoles(t, fs, task, pages/5)
+	src, _ := fs.Create(task, "src")
+	want := make([]byte, pages*512)
+	for i := range want {
+		want[i] = byte(1 + i/512)
+	}
+	if _, err := src.WriteAt(task, want, 0); err != nil {
+		t.Fatal(err)
+	}
+	if d, s := len(dst.Extents()), len(src.Extents()); d != 1 || s != pages/5 {
+		t.Fatalf("layout: dst %d extents, src %d; want 1 and %d", d, s, pages/5)
+	}
+	var segs []ShareSeg
+	for off := int64(0); off < pages*512; off += 2 * 512 {
+		segs = append(segs, ShareSeg{Dst: dst, DstOff: off, Src: src, SrcOff: off, Len: 2 * 512})
+	}
+	before := dev.Stats().FTL.SharePairs
+	if err := fs.ShareVec(task, segs); err != nil {
+		t.Fatal(err)
+	}
+	// Source runs end at pages 5, 10, 15: the segments covering pages 4-5
+	// and 14-15 straddle one and split in two.
+	if got := dev.Stats().FTL.SharePairs - before; got != int64(len(segs))+2 {
+		t.Fatalf("issued %d pairs, want %d", got, len(segs)+2)
+	}
+	got := make([]byte, len(want))
+	if _, err := dst.ReadAt(task, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("destination does not read back the source's content")
+	}
+	if err := dev.FTLForTest().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Fsck(); err != nil {
+		t.Fatal(err)
 	}
 }

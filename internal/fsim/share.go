@@ -7,93 +7,84 @@ import (
 	"share/internal/ssd"
 )
 
-// ShareRange is the SHARE ioctl: it remaps length bytes of dst starting at
-// dstOff onto the physical pages currently backing src at srcOff. Both
-// offsets and the length must be page aligned; the destination range must
-// already be allocated (use Allocate/fallocate first), matching how the
-// paper's modified Couchbase prepares the new database file.
-//
-// The translation walks both files' extent maps, coalesces physically
-// contiguous runs into ranged pairs, and splits the command stream at the
-// device's atomic batch limit — each issued SHARE command is atomic on its
-// own, exactly like the prototype's vendor-unique SATA command.
-func (fs *FS) ShareRange(t *sim.Task, dst *File, dstOff int64, src *File, srcOff int64, length int64) error {
-	fs.latch.Lock(t)
-	defer fs.latch.Unlock(t)
-	ps := int64(fs.pageSize)
-	if dstOff%ps != 0 || srcOff%ps != 0 || length%ps != 0 {
-		return fmt.Errorf("%w: dstOff %d srcOff %d len %d", ErrAlign, dstOff, srcOff, length)
-	}
-	if length == 0 {
-		return nil
-	}
-	pages := uint32(length / ps)
-	dstPage := uint32(dstOff / ps)
-	srcPage := uint32(srcOff / ps)
+// ShareSeg is one segment of a vectored SHARE: Len bytes of Dst starting at
+// DstOff are remapped onto the physical pages currently backing Src at
+// SrcOff. Offsets and Len must be page aligned and the destination range
+// already allocated (Allocate/fallocate first), matching how the paper's
+// modified Couchbase prepares the new database file.
+type ShareSeg struct {
+	Dst    *File
+	DstOff int64
+	Src    *File
+	SrcOff int64
+	Len    int64
+}
 
-	var pairs []ssd.Pair
-	var batchUnits int
-	maxBatch := fs.dev.MaxShareBatch()
-	flush := func() error {
-		if len(pairs) == 0 {
-			return nil
-		}
-		err := fs.dev.Share(t, pairs)
-		pairs = pairs[:0]
-		batchUnits = 0
+// ShareVec is the SHARE ioctl: every engine's remap — a flush batch of
+// pages, a commit's documents, a whole compaction — is one call. It is the
+// single place file offsets become device pairs: both extent maps are
+// resolved under the FS latch and the commands are issued outside it, like
+// the data I/O of ReadAt/WriteAt.
+//
+// Each segment becomes one ranged pair per physically contiguous run (so
+// one pair when neither file is fragmented there, whatever the other
+// file's extent boundaries), and the pair list goes to the device's
+// ShareAll, whose packing never tears a pair — hence never an engine page
+// or document laid out contiguously — across two atomic commands. Each
+// issued SHARE command is atomic on its own, exactly like the prototype's
+// vendor-unique SATA command; the sequence is not.
+func (fs *FS) ShareVec(t *sim.Task, segs []ShareSeg) error {
+	fs.latch.Lock(t)
+	pairs, err := fs.sharePairs(segs)
+	fs.latch.Unlock(t)
+	if err != nil {
 		return err
 	}
+	return fs.dev.ShareAll(t, pairs)
+}
 
-	for pages > 0 {
-		dstLPN, dstRun, err := dst.lpnAt(dstPage)
+// ShareRange is ShareVec for a single segment.
+func (fs *FS) ShareRange(t *sim.Task, dst *File, dstOff int64, src *File, srcOff int64, length int64) error {
+	return fs.ShareVec(t, []ShareSeg{{Dst: dst, DstOff: dstOff, Src: src, SrcOff: srcOff, Len: length}})
+}
+
+// sharePairs translates segments to device pairs. Latch held.
+func (fs *FS) sharePairs(segs []ShareSeg) ([]ssd.Pair, error) {
+	var pairs []ssd.Pair
+	for _, sg := range segs {
+		dst, err := sg.Dst.MapRange(sg.DstOff, sg.Len)
 		if err != nil {
-			return fmt.Errorf("fsim: share dst: %w", err)
+			return nil, fmt.Errorf("fsim: share dst: %w", err)
 		}
-		srcLPN, srcRun, err := src.lpnAt(srcPage)
+		src, err := sg.Src.MapRange(sg.SrcOff, sg.Len)
 		if err != nil {
-			return fmt.Errorf("fsim: share src: %w", err)
+			return nil, fmt.Errorf("fsim: share src: %w", err)
 		}
-		run := pages
-		if dstRun < run {
-			run = dstRun
-		}
-		if srcRun < run {
-			run = srcRun
-		}
-		// A ranged pair must not overlap itself; and a batch must fit the
-		// device's one-delta-page atomic limit.
-		for run > 0 {
-			chunk := run
-			if room := uint32(maxBatch - batchUnits); chunk > room {
-				chunk = room
-			}
-			if chunk == 0 {
-				if err := flush(); err != nil {
-					return err
-				}
-				continue
-			}
-			if overlaps(dstLPN, srcLPN, chunk) {
-				// Degenerate layout (shared physical neighborhood):
+		// Walk both run lists in step; a pair ends where either side does.
+		for len(dst) > 0 && len(src) > 0 {
+			d, s := &dst[0], &src[0]
+			run := min(d.Len, s.Len)
+			if overlaps(d.Start, s.Start, run) {
+				// Degenerate layout (a file shared onto its own physical
+				// neighborhood): a ranged pair must not overlap itself, so
 				// fall back to single-page pairs.
-				chunk = 1
-			}
-			pairs = append(pairs, ssd.Pair{Dst: dstLPN, Src: srcLPN, Len: chunk})
-			batchUnits += int(chunk)
-			dstLPN += chunk
-			srcLPN += chunk
-			run -= chunk
-			dstPage += chunk
-			srcPage += chunk
-			pages -= chunk
-			if batchUnits >= maxBatch {
-				if err := flush(); err != nil {
-					return err
+				for i := uint32(0); i < run; i++ {
+					pairs = append(pairs, ssd.Pair{Dst: d.Start + i, Src: s.Start + i, Len: 1})
 				}
+			} else {
+				pairs = append(pairs, ssd.Pair{Dst: d.Start, Src: s.Start, Len: run})
+			}
+			d.Start, d.Len = d.Start+run, d.Len-run
+			if d.Len == 0 {
+				dst = dst[1:]
+			}
+			s.Start, s.Len = s.Start+run, s.Len-run
+			if s.Len == 0 {
+				src = src[1:]
 			}
 		}
 	}
-	return flush()
+	return pairs, nil
 }
 
 func overlaps(a, b, n uint32) bool { return a < b+n && b < a+n }

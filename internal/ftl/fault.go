@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"errors"
+	"sync/atomic"
 
 	"share/internal/nand"
 	"share/internal/sim"
@@ -22,6 +23,41 @@ import (
 // and further writes could no longer be guaranteed durable. Reads — and
 // flushing already-acknowledged state — still work.
 var ErrReadOnly = errors.New("ftl: device degraded to read-only (spare blocks exhausted)")
+
+// ReadOnlyLatch is the host-side half of the degradation: a storage engine
+// embeds one, passes every device error through Note, and from the first
+// ErrReadOnly on reports Degraded — mutations then fail fast with the
+// engine's own sentinel while reads keep serving. The latch never clears:
+// a device out of spare blocks does not recover.
+type ReadOnlyLatch struct {
+	sentinel    error
+	degraded    atomic.Bool
+	transitions atomic.Int64
+}
+
+// NewReadOnlyLatch returns a latch whose Note answers a read-only device
+// error with sentinel: the embedding engine's own ErrReadOnly, which wraps
+// this package's so that one errors.Is matches every layer's form.
+func NewReadOnlyLatch(sentinel error) ReadOnlyLatch { return ReadOnlyLatch{sentinel: sentinel} }
+
+// Degraded reports whether a read-only device error has been seen.
+func (l *ReadOnlyLatch) Degraded() bool { return l.degraded.Load() }
+
+// ReadOnlyTransitions counts device degradations observed (0 or 1).
+func (l *ReadOnlyLatch) ReadOnlyTransitions() int64 { return l.transitions.Load() }
+
+// Note passes err through unless it is a read-only device failure, which
+// it latches (counting the transition the first time) and replaces by the
+// sentinel.
+func (l *ReadOnlyLatch) Note(err error) error {
+	if err == nil || !errors.Is(err, ErrReadOnly) {
+		return err
+	}
+	if l.degraded.CompareAndSwap(false, true) {
+		l.transitions.Add(1)
+	}
+	return l.sentinel
+}
 
 // programPage allocates a page on stream s and programs data+oob into it.
 // NAND program faults are handled here, in one place, for every write path

@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"share/internal/nand"
@@ -344,5 +345,28 @@ func TestReadOnlyAfterSparesExhausted(t *testing.T) {
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ReadOnlyLatch: unrelated errors pass through untouched; the first
+// read-only device error latches, counts one transition and comes back as
+// the owner's sentinel, which still matches ErrReadOnly.
+func TestReadOnlyLatch(t *testing.T) {
+	sentinel := fmt.Errorf("engine: read-only: %w", ErrReadOnly)
+	l := NewReadOnlyLatch(sentinel)
+	other := errors.New("other")
+	if l.Note(nil) != nil || l.Note(other) != other || l.Degraded() {
+		t.Fatal("latch reacted to an unrelated error")
+	}
+	for i := 0; i < 2; i++ {
+		if err := l.Note(fmt.Errorf("write page 7: %w", ErrReadOnly)); err != sentinel {
+			t.Fatalf("Note = %v, want the sentinel", err)
+		}
+	}
+	if !l.Degraded() || l.ReadOnlyTransitions() != 1 {
+		t.Fatalf("degraded=%v transitions=%d, want true and 1", l.Degraded(), l.ReadOnlyTransitions())
+	}
+	if !errors.Is(sentinel, ErrReadOnly) {
+		t.Fatal("sentinel does not wrap ErrReadOnly")
 	}
 }

@@ -6,13 +6,13 @@ import "fmt"
 // the GC and metadata fields expose the internal amplification the paper
 // measures in Figure 6.
 //
-// Counter epoch semantics: every numeric field except the gauges
-// (SpareBlocksLeft, ReadOnly) is a lifetime-monotonic counter — it only
-// grows, and it is never reset. Experiment epochs (e.g. "after aging")
-// are handled one layer up: ssd.Device.ResetStats records a baseline and
-// ssd.Device.Stats reports the difference, so this struct stays a single
-// source of truth. A new field added here must be classified in
-// internal/ssd's epoch diff (counter: subtracted; gauge: passed through).
+// Counter epoch semantics: every field not tagged `epoch:"gauge"` is a
+// lifetime-monotonic counter — it only grows, and it is never reset.
+// Experiment epochs (e.g. "after aging") are handled one layer up:
+// ssd.Device.ResetStats records a baseline and ssd.Device.Stats reports the
+// difference, so this struct stays a single source of truth. The diff walks
+// the fields: a new int64 or []int64 is a counter unless it carries the
+// gauge tag, and any other type must (an ssd test enforces it).
 type Stats struct {
 	HostReads    int64 // host READ pages
 	HostWrites   int64 // host WRITE pages
@@ -58,8 +58,8 @@ type Stats struct {
 	UncorrectableReads int64 // reads lost beyond ECC and retry, surfaced to the host
 	ScrubbedBlocks     int64 // suspect blocks refreshed after a retry-recovered read
 	ScrubRelocations   int64 // live pages relocated by scrubbing
-	SpareBlocksLeft    int64 // retirement budget remaining (snapshot, not a counter)
-	ReadOnly           bool  // device degraded: mutating commands refused
+	SpareBlocksLeft    int64 `epoch:"gauge"` // retirement budget remaining (snapshot, not a counter)
+	ReadOnly           bool  `epoch:"gauge"` // device degraded: mutating commands refused
 
 	// ECC-ladder escalation and background patrol (zero without a media
 	// model; omitted from JSON so aging-free reports are byte-identical).

@@ -24,9 +24,7 @@ package innodb
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"share/internal/btree"
@@ -42,7 +40,7 @@ import (
 // ErrReadOnly is returned by mutating operations after the underlying
 // device degraded to read-only (spare blocks exhausted). Reads keep
 // serving from the buffer pool and the still-readable tablespace.
-var ErrReadOnly = errors.New("innodb: engine is read-only (device degraded)")
+var ErrReadOnly = fmt.Errorf("innodb: engine is read-only: %w", ftl.ErrReadOnly)
 
 // FlushMode selects the dirty-page flush pipeline.
 type FlushMode int
@@ -152,18 +150,15 @@ const metaMagic = 0x494E4D54 // "INMT"
 //
 // Concurrency and locking hierarchy (acquire downward, never upward):
 //
-//	e.mu (transaction latch) → e.gcMu (group-commit state)
+//	e.mu (transaction latch) → group committer (wal.GroupCommitter)
 //	e.mu → fs latch / wal latch → sim resources
-//	e.protMu / atomics — leaf locks, no yields underneath
-//
-// Nothing acquires e.mu while holding gcMu; the commit path releases
-// e.mu before joining the group-commit rendezvous so the log fsync
-// overlaps other sessions' apply phases (checkpointLocked's drain takes
-// gcMu under e.mu, which the hierarchy permits).
+//	pool no-steal pins / atomics — leaf locks, no yields underneath
 //
 // A session holds e.mu from Begin through apply and redo append, then
-// releases it and joins the group-commit pipeline (gcMu/gcCond), so the
-// expensive log fsync overlaps the next session's apply phase.
+// releases it and joins the group-commit rendezvous (e.gc), so the
+// expensive log fsync overlaps the next session's apply phase. Nothing
+// acquires e.mu while inside the committer; checkpointLocked's Drain
+// enters it under e.mu, which the hierarchy permits.
 type Engine struct {
 	fs     *fsim.FS
 	file   *fsim.File
@@ -181,36 +176,18 @@ type Engine struct {
 	hwm    uint32 // next free engine page (page 0 is the meta page)
 	dwbSeq uint64
 
-	// Redo bookkeeping, guarded by e.mu.
-	txnPages        map[uint32]bool // pages dirtied by the txn being applied (no-steal)
-	applying        bool
-	imagesSinceCkpt int
+	imagesSinceCkpt int // redo page images since the last checkpoint (e.mu)
 
-	// Group commit: transactions that appended their commit record release
-	// e.mu and rendezvous here. The first becomes the leader and issues one
-	// log sync for every record appended so far; the rest wait for its
-	// broadcast. gcUnsynced counts commits between append and durability —
-	// checkpoints drain it before truncating redo.
-	gcMu       sim.Mutex
-	gcCond     sim.Cond // broadcast after each completed sync attempt
-	gcDrain    sim.Cond // broadcast when gcUnsynced drops to zero
-	gcSyncing  bool     // a leader's sync is in flight
-	gcDurable  int64    // log LSN horizon made durable by group syncs
-	gcGen      uint64   // completed sync attempts (failure detection)
-	gcErr      error    // outcome of the most recent sync attempt
-	gcUnsynced int      // commits appended but not yet durable
+	// gc is the group-commit rendezvous: transactions that appended their
+	// commit record release e.mu and share one log sync there; checkpoints
+	// drain it before truncating redo.
+	gc *wal.GroupCommitter
 
-	// protected holds refcounted no-steal pins: pages applied by a commit
-	// whose record is not yet durable. It outlives e.mu (released only
-	// after the group sync), so it has its own leaf lock.
-	protMu    sync.Mutex
-	protected map[uint32]int
-
-	// degraded is latched when a device write fails with ftl.ErrReadOnly;
-	// from then on mutating operations fail fast with ErrReadOnly while
-	// reads keep serving. Committed-but-unflushed pages stay in the pool
-	// and in the redo log (which is never truncated after degradation).
-	degraded atomic.Bool
+	// Latched when a device write fails with ftl.ErrReadOnly; from then on
+	// mutating operations fail fast with ErrReadOnly while reads keep
+	// serving. Committed-but-unflushed pages stay in the pool and in the
+	// redo log (which is never truncated after degradation).
+	ftl.ReadOnlyLatch
 
 	st Stats // counters updated via atomics; read with Stats()
 }
@@ -255,19 +232,19 @@ func Open(t *sim.Task, fs *fsim.FS, logDev *ssd.Device, cfg Config) (*Engine, er
 		return nil, err
 	}
 	e := &Engine{
-		fs:        fs,
-		logDev:    logDev,
-		cfg:       cfg,
-		tables:    make(map[string]*Table),
-		txnPages:  make(map[uint32]bool),
-		protected: make(map[uint32]int),
-		hwm:       1,
+		fs:            fs,
+		logDev:        logDev,
+		cfg:           cfg,
+		tables:        make(map[string]*Table),
+		hwm:           1,
+		ReadOnlyLatch: ftl.NewReadOnlyLatch(ErrReadOnly),
 	}
 	log, err := wal.New(logDev, 0, cfg.LogPages)
 	if err != nil {
 		return nil, err
 	}
 	e.log = log
+	e.gc = wal.NewGroupCommitter(log)
 
 	existing := fs.Exists(cfg.Name)
 	if existing {
@@ -310,14 +287,6 @@ func Open(t *sim.Task, fs *fsim.FS, logDev *ssd.Device, cfg Config) (*Engine, er
 		return nil, err
 	}
 	pool.FlushBatchSize = cfg.DWBPages
-	pool.Protected = func(pageNo uint32) bool {
-		return (e.applying && e.txnPages[pageNo]) || e.pinned(pageNo)
-	}
-	pool.OnDirty = func(pageNo uint32) {
-		if e.applying {
-			e.txnPages[pageNo] = true
-		}
-	}
 	e.pool = pool
 
 	if existing {
@@ -487,7 +456,7 @@ func (tb *Table) onRootChange(uint32) {
 func (e *Engine) CreateTable(t *sim.Task, name string) (*Table, error) {
 	e.mu.Lock(t)
 	defer e.mu.Unlock(t)
-	if e.degraded.Load() {
+	if e.Degraded() {
 		return nil, ErrReadOnly
 	}
 	if _, ok := e.tables[name]; ok {
@@ -533,10 +502,10 @@ func (e *Engine) Stats() Stats {
 	st.Checkpoints = atomic.LoadInt64(&e.st.Checkpoints)
 	st.TornRestored = atomic.LoadInt64(&e.st.TornRestored)
 	st.RedoApplied = atomic.LoadInt64(&e.st.RedoApplied)
-	st.GroupCommits = atomic.LoadInt64(&e.st.GroupCommits)
-	st.GroupedTxns = atomic.LoadInt64(&e.st.GroupedTxns)
-	st.ReadOnlyTransitions = atomic.LoadInt64(&e.st.ReadOnlyTransitions)
-	st.Degraded = e.degraded.Load()
+	st.GroupCommits = e.gc.GroupCommits()
+	st.GroupedTxns = e.gc.GroupedTxns()
+	st.ReadOnlyTransitions = e.ReadOnlyTransitions()
+	st.Degraded = e.Degraded()
 	if e.cache != nil {
 		cs := e.cache.Stats()
 		st.CacheHits = cs.Hits
@@ -547,101 +516,6 @@ func (e *Engine) Stats() Stats {
 		st.CacheDegraded = cs.Degraded
 	}
 	return st
-}
-
-// Degraded reports whether the engine has switched to read-only serving.
-func (e *Engine) Degraded() bool { return e.degraded.Load() }
-
-// noteDeviceErr translates a device-level read-only failure into the
-// engine's typed error, latching the degraded state (and counting the
-// transition) the first time it is seen. Other errors pass through.
-func (e *Engine) noteDeviceErr(err error) error {
-	if err == nil || !errors.Is(err, ftl.ErrReadOnly) {
-		return err
-	}
-	if e.degraded.CompareAndSwap(false, true) {
-		atomic.AddInt64(&e.st.ReadOnlyTransitions, 1)
-	}
-	return ErrReadOnly
-}
-
-// pinned reports whether pageNo carries a no-steal pin from a commit
-// whose record is not yet durable.
-func (e *Engine) pinned(pageNo uint32) bool {
-	e.protMu.Lock()
-	defer e.protMu.Unlock()
-	return e.protected[pageNo] > 0
-}
-
-// protect pins pages against stealing until unprotect. Pins are
-// refcounted: concurrent commits may dirty the same page.
-func (e *Engine) protect(pages []uint32) {
-	e.protMu.Lock()
-	for _, p := range pages {
-		e.protected[p]++
-	}
-	e.protMu.Unlock()
-}
-
-// unprotect drops the pins taken by protect.
-func (e *Engine) unprotect(pages []uint32) {
-	e.protMu.Lock()
-	for _, p := range pages {
-		if e.protected[p]--; e.protected[p] <= 0 {
-			delete(e.protected, p)
-		}
-	}
-	e.protMu.Unlock()
-}
-
-// groupSync makes the commit record at myLSN durable, coalescing with
-// concurrent commits: the first arrival becomes the leader and issues one
-// log sync covering every record appended so far; later arrivals wait for
-// its broadcast and only sync themselves if the leader's flush predates
-// their append. Called without e.mu, so the fsync overlaps other
-// sessions' apply phases. Returns the outcome of the sync that covered
-// (or failed) this transaction.
-func (e *Engine) groupSync(t *sim.Task, myLSN int64) error {
-	e.gcMu.Lock(t)
-	grouped := false
-	var err error
-	for err == nil && e.gcDurable <= myLSN {
-		if e.gcSyncing {
-			grouped = true
-			gen := e.gcGen
-			e.gcCond.Wait(t, &e.gcMu)
-			if e.gcGen != gen && e.gcErr != nil && e.gcDurable <= myLSN {
-				err = e.gcErr
-			}
-			continue
-		}
-		e.gcSyncing = true
-		e.gcMu.Unlock(t)
-		serr := e.log.Sync(t)
-		durable := e.log.DurableLSN()
-		e.gcMu.Lock(t)
-		e.gcSyncing = false
-		e.gcGen++
-		e.gcErr = serr
-		if serr == nil {
-			if durable > e.gcDurable {
-				e.gcDurable = durable
-			}
-			atomic.AddInt64(&e.st.GroupCommits, 1)
-		} else {
-			err = serr
-		}
-		e.gcCond.Broadcast(t)
-	}
-	if grouped && err == nil {
-		atomic.AddInt64(&e.st.GroupedTxns, 1)
-	}
-	e.gcUnsynced--
-	if e.gcUnsynced == 0 {
-		e.gcDrain.Broadcast(t)
-	}
-	e.gcMu.Unlock(t)
-	return err
 }
 
 // Pool exposes buffer pool statistics.
@@ -661,20 +535,14 @@ func (e *Engine) Checkpoint(t *sim.Task) error {
 
 // checkpointLocked is Checkpoint with e.mu already held. It first drains
 // in-flight group commits: their records must be durable before the redo
-// log is truncated underneath them. The drain cannot deadlock — every
-// unsynced commit released e.mu before joining groupSync, and holding
-// e.mu here stops new commits from appending, so gcUnsynced only falls.
+// log is truncated underneath them.
 func (e *Engine) checkpointLocked(t *sim.Task) error {
-	if e.degraded.Load() {
+	if e.Degraded() {
 		return ErrReadOnly
 	}
-	e.gcMu.Lock(t)
-	for e.gcUnsynced > 0 {
-		e.gcDrain.Wait(t, &e.gcMu)
-	}
-	e.gcMu.Unlock(t)
+	e.gc.Drain(t)
 	if err := e.pool.FlushAll(t); err != nil {
-		return e.noteDeviceErr(err)
+		return e.Note(err)
 	}
 	// Write-back cache: dirty cache entries must reach their tablespace
 	// homes before redo is truncated — after this point redo no longer
@@ -683,14 +551,14 @@ func (e *Engine) checkpointLocked(t *sim.Task) error {
 	// the checkpoint: redo is preserved and nothing committed is lost.
 	if e.cache != nil && e.cfg.CacheWriteBack {
 		if err := e.cacheWriteback(t); err != nil {
-			return e.noteDeviceErr(err)
+			return e.Note(err)
 		}
 	}
 	if err := e.fs.SyncMeta(t); err != nil {
-		return e.noteDeviceErr(err)
+		return e.Note(err)
 	}
 	if err := e.log.Truncate(t); err != nil {
-		return e.noteDeviceErr(err)
+		return e.Note(err)
 	}
 	if e.cache != nil {
 		// Persist the cache map alongside the engine checkpoint so a crash

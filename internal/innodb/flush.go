@@ -8,8 +8,8 @@ import (
 
 	"share/internal/btree"
 	"share/internal/bufpool"
-	"share/internal/core"
 	"share/internal/extcache"
+	"share/internal/fsim"
 	"share/internal/sim"
 	"share/internal/ssd"
 )
@@ -241,50 +241,18 @@ func (fl *flusher) writeHome(t *sim.Task, pages []bufpool.PageImage, sync bool) 
 }
 
 // shareHome installs the batch at its home locations without writing: the
-// home LPNs are remapped onto the doublewrite copies with SHARE commands.
-// When the SHARE calls return, the mapping change is durable (§4.2.2), so
-// no further fsync of the tablespace is needed.
+// home pages are remapped onto the doublewrite copies by one vectored SHARE
+// ioctl. When it returns, the mapping change is durable (§4.2.2), so no
+// further fsync of the tablespace is needed.
 func (fl *flusher) shareHome(t *sim.Task, pages []bufpool.PageImage) error {
 	e := fl.e
 	ps := int64(e.cfg.PageSize)
-	var pairs []ssd.Pair
+	segs := make([]fsim.ShareSeg, len(pages))
 	for i, pg := range pages {
-		dst, err := e.file.MapRange(ps*int64(pg.PageNo), ps)
-		if err != nil {
-			return err
-		}
-		src, err := e.dwb.MapRange(ps*int64(1+i), ps)
-		if err != nil {
-			return err
-		}
-		// Both files are preallocated contiguously, so an engine page is
-		// one extent on each side; split defensively if not.
-		di, si := 0, 0
-		dOff, sOff := uint32(0), uint32(0)
-		for di < len(dst) && si < len(src) {
-			run := dst[di].Len - dOff
-			if r := src[si].Len - sOff; r < run {
-				run = r
-			}
-			pairs = append(pairs, ssd.Pair{
-				Dst: dst[di].Start + dOff,
-				Src: src[si].Start + sOff,
-				Len: run,
-			})
-			dOff += run
-			sOff += run
-			if dOff == dst[di].Len {
-				di++
-				dOff = 0
-			}
-			if sOff == src[si].Len {
-				si++
-				sOff = 0
-			}
-		}
-		atomic.AddInt64(&e.st.SharePairs, 1)
+		segs[i] = fsim.ShareSeg{Dst: e.file, DstOff: ps * int64(pg.PageNo), Src: e.dwb, SrcOff: ps * int64(1+i), Len: ps}
 	}
-	return core.ShareAll(t, e.fs.Device(), pairs)
+	atomic.AddInt64(&e.st.SharePairs, int64(len(pages)))
+	return e.fs.ShareVec(t, segs)
 }
 
 func checksum32(b []byte) uint32 {

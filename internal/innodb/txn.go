@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"share/internal/sim"
@@ -92,19 +91,20 @@ func (tx *Txn) Scan(tb *Table, start, end []byte, fn func(k, v []byte) bool) err
 
 // Commit makes the transaction durable and visible:
 //
-//  1. apply the buffered writes to the trees (pages dirtied here are
-//     protected from flushing — no-steal);
+//  1. apply the buffered writes to the trees while the pool collects the
+//     pages they dirty and keeps them from flushing (no-steal);
 //  2. log a full image of every page the transaction dirtied (first
 //     write of redo), then a commit record;
 //  3. release the transaction lock and join the group-commit rendezvous:
 //     one leader fsyncs the log for every commit record appended so far,
-//     so concurrent sessions share a single flush (see Engine.groupSync);
+//     so concurrent sessions share a single flush (wal.GroupCommitter);
 //  4. once the record is durable, release the no-steal pins.
 //
-// The dirtied pages stay pinned (refcounted, via e.protect) across the
-// group sync: another session holding e.mu may trigger an adaptive flush
-// while this commit awaits durability, and stealing a subset of this
-// transaction's pages would put a torn transaction on disk.
+// The dirtied pages stay pinned (refcounted, pool.Protect) from the end of
+// the apply across the group sync: another session holding e.mu may
+// trigger an adaptive flush while this commit awaits durability, and
+// stealing a subset of this transaction's pages would put a torn
+// transaction on disk.
 //
 // A crash before the commit record is durable leaves no trace: dirty
 // pages never reached the tablespace. A crash after it is replayed from
@@ -121,7 +121,7 @@ func (tx *Txn) Commit() error {
 		e.mu.Unlock(t)
 		return nil
 	}
-	if e.degraded.Load() {
+	if e.Degraded() {
 		e.mu.Unlock(t)
 		return ErrReadOnly
 	}
@@ -134,75 +134,36 @@ func (tx *Txn) Commit() error {
 		}
 	}
 
-	// 1. Apply to trees under no-steal protection.
-	e.applying = true
-	e.txnPages = make(map[uint32]bool)
-	fail := func(err error) error {
-		e.applying = false
+	// 1. Apply to trees under no-steal protection. The pins take over from
+	// the collection at once: they cover the redo append and outlive e.mu.
+	e.pool.BeginCollect()
+	err := tx.apply()
+	dirtied := e.pool.EndCollect()
+	e.pool.Protect(dirtied)
+
+	// 2. Redo: full images of dirtied pages, then the commit record.
+	var myLSN int64
+	if err == nil {
+		myLSN, err = e.logCommit(t, dirtied)
+	}
+	if err != nil {
+		e.pool.Unprotect(dirtied)
 		e.mu.Unlock(t)
 		return err
 	}
-	for _, ref := range tx.order {
-		tb := e.tables[e.order[ref.table]]
-		v := tx.writes[ref.table][ref.key]
-		var err error
-		if v == nil {
-			_, err = tb.tree.Delete(t, []byte(ref.key))
-		} else {
-			err = tb.tree.Put(t, []byte(ref.key), *v)
-		}
-		if err != nil {
-			return fail(err)
-		}
-	}
-	if err := e.persistMeta(t); err != nil { // roots/hwm may have moved
-		return fail(err)
-	}
 
-	// 2. Redo: full images of dirtied pages, then the commit record.
-	rec := make([]byte, 5+e.cfg.PageSize)
-	dirtied := make([]uint32, 0, len(e.txnPages))
-	for pageNo := range e.txnPages {
-		dirtied = append(dirtied, pageNo)
-	}
-	sort.Slice(dirtied, func(i, j int) bool { return dirtied[i] < dirtied[j] })
-	for _, pageNo := range dirtied {
-		f, err := e.pool.Get(t, pageNo)
-		if err != nil {
-			return fail(err)
-		}
-		rec[0] = recPageImage
-		binary.LittleEndian.PutUint32(rec[1:], pageNo)
-		copy(rec[5:], f.Data)
-		f.Release()
-		if _, err := e.log.Append(t, rec); err != nil {
-			return fail(err)
-		}
-		e.imagesSinceCkpt++
-	}
-	myLSN, err := e.log.Append(t, []byte{recCommit})
-	if err != nil {
-		return fail(e.noteDeviceErr(err))
-	}
-
-	// 3. Hand the pages over to the refcounted pin set (it outlives e.mu),
-	// register with the group-commit drain counter, and release the
+	// 3. Register with the group committer's drain counter and release the
 	// transaction lock so the next session can apply while we sync.
-	e.protect(dirtied)
-	e.applying = false
-	e.txnPages = make(map[uint32]bool)
-	e.gcMu.Lock(t)
-	e.gcUnsynced++
-	e.gcMu.Unlock(t)
+	e.gc.Enter(t)
 	e.mu.Unlock(t)
 
-	err = e.groupSync(t, myLSN)
+	err = e.gc.Sync(t, myLSN)
 
 	// 4. Durable (or failed): drop the no-steal pins either way — on a
 	// failed sync the engine degrades and nothing flushes anymore.
-	e.unprotect(dirtied)
+	e.pool.Unprotect(dirtied)
 	if err != nil {
-		return e.noteDeviceErr(err)
+		return e.Note(err)
 	}
 	atomic.AddInt64(&e.st.Commits, 1)
 
@@ -219,11 +180,53 @@ func (tx *Txn) Commit() error {
 		// The commit record is already durable: the transaction
 		// committed. A read-only device only stops the background
 		// flush; redo still covers the committed pages.
-		if derr := e.noteDeviceErr(ferr); !errors.Is(derr, ErrReadOnly) {
+		if derr := e.Note(ferr); !errors.Is(derr, ErrReadOnly) {
 			return ferr
 		}
 	}
 	return nil
+}
+
+// apply replays the buffered writes onto the trees in order and re-renders
+// the meta page (roots/hwm may have moved).
+func (tx *Txn) apply() error {
+	e := tx.e
+	for _, ref := range tx.order {
+		tb := e.tables[e.order[ref.table]]
+		v := tx.writes[ref.table][ref.key]
+		var err error
+		if v == nil {
+			_, err = tb.tree.Delete(tx.t, []byte(ref.key))
+		} else {
+			err = tb.tree.Put(tx.t, []byte(ref.key), *v)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return e.persistMeta(tx.t)
+}
+
+// logCommit appends a full image of every dirtied page and then the commit
+// record, returning the record's LSN.
+func (e *Engine) logCommit(t *sim.Task, dirtied []uint32) (int64, error) {
+	rec := make([]byte, 5+e.cfg.PageSize)
+	for _, pageNo := range dirtied {
+		f, err := e.pool.Get(t, pageNo)
+		if err != nil {
+			return 0, err
+		}
+		rec[0] = recPageImage
+		binary.LittleEndian.PutUint32(rec[1:], pageNo)
+		copy(rec[5:], f.Data)
+		f.Release()
+		if _, err := e.log.Append(t, rec); err != nil {
+			return 0, err
+		}
+		e.imagesSinceCkpt++
+	}
+	lsn, err := e.log.Append(t, []byte{recCommit})
+	return lsn, e.Note(err)
 }
 
 // Rollback discards the buffered writes.

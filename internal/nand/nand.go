@@ -420,22 +420,22 @@ type Stats struct {
 	Reads    int64
 	Programs int64
 	Erases   int64
-	MaxWear  int64 // highest per-block erase count
-	MinWear  int64 // lowest per-block erase count
+	MaxWear  int64 `epoch:"gauge"` // highest per-block erase count
+	MinWear  int64 `epoch:"gauge"` // lowest per-block erase count
 
 	ProgramFails int64 // failed program attempts (transient + permanent)
 	EraseFails   int64 // failed erase attempts (bad block or injected)
 	EccCorrected int64 // reads that needed ECC correction
 	ReadFails    int64 // uncorrectable reads
-	BadBlocks    int64 // blocks factory-bad or failed in service
+	BadBlocks    int64 `epoch:"gauge"` // blocks factory-bad or failed in service
 
 	// ECC ladder and media-aging counters (zero with the model off; the
 	// omitempty tags keep aging-free benchmark reports byte-identical).
-	RetryReads     int64 `json:",omitempty"` // shifted-sense re-read attempts
-	SoftReads      int64 `json:",omitempty"` // soft-decision decode attempts
-	MediaHardReads int64 `json:",omitempty"` // fast reads failed by endogenous aging
-	MaxPageRisk    int64 `json:",omitempty"` // gauge: worst predicted page risk (1 unit = 1e-9 RBER)
-	MeanPageRisk   int64 `json:",omitempty"` // gauge: mean per-block worst-page risk
+	RetryReads     int64 `json:",omitempty"`               // shifted-sense re-read attempts
+	SoftReads      int64 `json:",omitempty"`               // soft-decision decode attempts
+	MediaHardReads int64 `json:",omitempty"`               // fast reads failed by endogenous aging
+	MaxPageRisk    int64 `json:",omitempty" epoch:"gauge"` // worst predicted page risk (1 unit = 1e-9 RBER)
+	MeanPageRisk   int64 `json:",omitempty" epoch:"gauge"` // mean per-block worst-page risk
 }
 
 // Stats returns a snapshot of the chip's counters.

@@ -10,14 +10,11 @@ package pgmini
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"share/internal/bufpool"
-	"share/internal/core"
 	"share/internal/fsim"
 	"share/internal/ftl"
 	"share/internal/sim"
@@ -28,7 +25,7 @@ import (
 // ErrReadOnly is returned by mutating operations after the data device
 // degraded to read-only (spare blocks exhausted). Balance reads keep
 // serving from the pool and the still-readable heap.
-var ErrReadOnly = errors.New("pgmini: database is read-only (device degraded)")
+var ErrReadOnly = fmt.Errorf("pgmini: database is read-only: %w", ftl.ErrReadOnly)
 
 // Mode selects the torn-page strategy.
 type Mode int
@@ -76,18 +73,19 @@ const (
 	tellersPerScale  = 10
 	branchesPerScale = 1
 	pageHdrSize      = 16 // checksum u32, lsn u64, reserved
+	stageSlots       = 64 // pages in the SHARE-mode checkpoint staging file
 )
 
 // DB is one pgmini database.
 //
 // Concurrency: a database latch (db.mu) serializes the transaction apply
 // phase — heap updates, WAL appends and the commit record. Sessions then
-// release the latch and rendezvous at the group-commit state (gcMu): one
+// release the latch and rendezvous at the group committer (db.gc): one
 // leader fsyncs the WAL for every commit record appended so far, so the
-// flush overlaps the next session”s apply, exactly as in the innodb
-// engine. Pages dirtied by a transaction stay pinned (refcounted,
-// no-steal) until its commit record is durable — PostgreSQL proper
-// enforces the same WAL-before-data rule via page LSNs.
+// flush overlaps the next session's apply. Pages dirtied by a transaction
+// are collected by the pool and stay pinned (refcounted, no-steal) until
+// its commit record is durable — PostgreSQL proper enforces the same
+// WAL-before-data rule via page LSNs.
 type DB struct {
 	fs      *fsim.FS
 	file    *fsim.File
@@ -110,22 +108,9 @@ type DB struct {
 	loggedSinceCkpt map[uint32]bool // FPW first-touch set
 	txnsSinceCkpt   int
 
-	// Apply-phase dirty tracking and refcounted no-steal pins, as in the
-	// innodb engine (see Engine.protect).
-	applying  bool
-	txnPages  map[uint32]bool
-	protMu    sync.Mutex
-	protected map[uint32]int
-
-	// Group commit rendezvous (see (*DB).groupSync).
-	gcMu       sim.Mutex
-	gcCond     sim.Cond
-	gcDrain    sim.Cond
-	gcSyncing  bool
-	gcDurable  int64
-	gcGen      uint64
-	gcErr      error
-	gcUnsynced int
+	// gc is the group-commit rendezvous; checkpoints drain it before
+	// truncating the WAL.
+	gc *wal.GroupCommitter
 
 	// Background, when set, is the task checkpoint and background-writer
 	// flushes are charged to — PostgreSQL's checkpointer runs alongside
@@ -133,10 +118,9 @@ type DB struct {
 	// with the transaction stream.
 	Background *sim.Task
 
-	// degraded is latched when a data-device write fails with
-	// ftl.ErrReadOnly; mutating operations then fail fast with ErrReadOnly
-	// while reads keep serving.
-	degraded atomic.Bool
+	// Latched when a data-device write fails with ftl.ErrReadOnly; mutating
+	// operations then fail fast with ErrReadOnly while reads keep serving.
+	ftl.ReadOnlyLatch
 
 	st Stats // counters updated via atomics; read with Stats()
 }
@@ -197,8 +181,7 @@ func Open(t *sim.Task, fs *fsim.FS, logDev *ssd.Device, cfg Config) (*DB, error)
 	db := &DB{
 		fs: fs, logDev: logDev, cfg: cfg,
 		loggedSinceCkpt: make(map[uint32]bool),
-		txnPages:        make(map[uint32]bool),
-		protected:       make(map[uint32]int),
+		ReadOnlyLatch:   ftl.NewReadOnlyLatch(ErrReadOnly),
 	}
 	db.perPage = (cfg.PageSize - pageHdrSize) / tupleSize
 	db.branches = branchesPerScale * cfg.Scale
@@ -237,7 +220,7 @@ func Open(t *sim.Task, fs *fsim.FS, logDev *ssd.Device, cfg Config) (*DB, error)
 		if err != nil {
 			return nil, err
 		}
-		if err := db.scratch.Allocate(t, 0, int64(cfg.PageSize)*64); err != nil {
+		if err := db.scratch.Allocate(t, 0, int64(cfg.PageSize)*stageSlots); err != nil {
 			return nil, err
 		}
 	}
@@ -246,6 +229,7 @@ func Open(t *sim.Task, fs *fsim.FS, logDev *ssd.Device, cfg Config) (*DB, error)
 		return nil, err
 	}
 	db.log = log
+	db.gc = wal.NewGroupCommitter(log)
 	if cfg.StreamHints {
 		if fs.Device().Streams() > 1 {
 			db.file.SetStream(0) // heap pages: overwritten in place, zipfian-hot
@@ -260,19 +244,6 @@ func Open(t *sim.Task, fs *fsim.FS, logDev *ssd.Device, cfg Config) (*DB, error)
 	pool, err := bufpool.New(file, cfg.PageSize, int(cfg.PoolBytes/int64(cfg.PageSize)), &pgFlusher{db: db})
 	if err != nil {
 		return nil, err
-	}
-	pool.Protected = func(pageNo uint32) bool {
-		if db.applying && db.txnPages[pageNo] {
-			return true
-		}
-		db.protMu.Lock()
-		defer db.protMu.Unlock()
-		return db.protected[pageNo] > 0
-	}
-	pool.OnDirty = func(pageNo uint32) {
-		if db.applying {
-			db.txnPages[pageNo] = true
-		}
 	}
 	db.pool = pool
 	if existing {
@@ -390,38 +361,25 @@ func (fl *pgFlusher) FlushBatch(t *sim.Task, pages []bufpool.PageImage) error {
 	ps := int64(db.cfg.PageSize)
 	atomic.AddInt64(&db.st.DataPagesFlushed, int64(len(pages)))
 	if db.cfg.Mode == FPWShare {
-		var pairs []ssd.Pair
-		for i, pg := range pages {
-			slot := int64(i % 64)
-			if i > 0 && slot == 0 {
-				// Stage area full: push this chunk first.
-				if err := db.scratch.Sync(t); err != nil {
+		// One stage-area load at a time: write the slots, fsync them, remap.
+		for len(pages) > 0 {
+			chunk := pages[:min(len(pages), stageSlots)]
+			pages = pages[len(chunk):]
+			segs := make([]fsim.ShareSeg, len(chunk))
+			for slot, pg := range chunk {
+				if _, err := db.scratch.WriteAt(t, pg.Data, int64(slot)*ps); err != nil {
 					return err
 				}
-				if err := core.ShareAll(t, db.fs.Device(), pairs); err != nil {
-					return err
-				}
-				pairs = nil
+				segs[slot] = fsim.ShareSeg{Dst: db.file, DstOff: int64(pg.PageNo) * ps, Src: db.scratch, SrcOff: int64(slot) * ps, Len: ps}
 			}
-			if _, err := db.scratch.WriteAt(t, pg.Data, slot*ps); err != nil {
+			if err := db.scratch.Sync(t); err != nil {
 				return err
 			}
-			dst, err := db.file.MapRange(int64(pg.PageNo)*ps, ps)
-			if err != nil {
+			if err := db.fs.ShareVec(t, segs); err != nil {
 				return err
-			}
-			src, err := db.scratch.MapRange(slot*ps, ps)
-			if err != nil {
-				return err
-			}
-			for j := range dst {
-				pairs = append(pairs, ssd.Pair{Dst: dst[j].Start, Src: src[j].Start, Len: dst[j].Len})
 			}
 		}
-		if err := db.scratch.Sync(t); err != nil {
-			return err
-		}
-		return core.ShareAll(t, db.fs.Device(), pairs)
+		return nil
 	}
 	for _, pg := range pages {
 		if _, err := db.file.WriteAt(t, pg.Data, int64(pg.PageNo)*ps); err != nil {
@@ -440,38 +398,17 @@ func (fl *pgFlusher) FlushBatch(t *sim.Task, pages []bufpool.PageImage) error {
 func (db *DB) Checkpoint(t *sim.Task) error {
 	db.mu.Lock(t)
 	defer db.mu.Unlock(t)
-	if db.degraded.Load() {
+	if db.Degraded() {
 		return ErrReadOnly
 	}
-	return db.noteDeviceErr(db.checkpoint(t, t))
+	return db.Note(db.checkpoint(t, t))
 }
-
-// noteDeviceErr translates a device-level read-only failure into the
-// typed engine error, latching the degraded state on first sight.
-func (db *DB) noteDeviceErr(err error) error {
-	if err == nil || !errors.Is(err, ftl.ErrReadOnly) {
-		return err
-	}
-	if db.degraded.CompareAndSwap(false, true) {
-		atomic.AddInt64(&db.st.ReadOnlyTransitions, 1)
-	}
-	return ErrReadOnly
-}
-
-// Degraded reports whether the database has switched to read-only serving.
-func (db *DB) Degraded() bool { return db.degraded.Load() }
 
 // checkpoint runs with db.mu held. It first drains in-flight group
-// commits: their WAL records must be durable before the ring is
-// truncated underneath them. The drain cannot deadlock — every unsynced
-// commit released db.mu before joining groupSync, and holding db.mu here
-// stops new commits from appending, so gcUnsynced only falls.
+// commits: their WAL records must be durable before the ring is truncated
+// underneath them.
 func (db *DB) checkpoint(dataTask, walTask *sim.Task) error {
-	db.gcMu.Lock(walTask)
-	for db.gcUnsynced > 0 {
-		db.gcDrain.Wait(walTask, &db.gcMu)
-	}
-	db.gcMu.Unlock(walTask)
+	db.gc.Drain(walTask)
 	if err := db.pool.FlushAll(dataTask); err != nil {
 		return err
 	}
@@ -485,72 +422,6 @@ func (db *DB) checkpoint(dataTask, walTask *sim.Task) error {
 	db.txnsSinceCkpt = 0
 	atomic.AddInt64(&db.st.Checkpoints, 1)
 	return nil
-}
-
-// protect pins pages against stealing until unprotect (refcounted).
-func (db *DB) protect(pages []uint32) {
-	db.protMu.Lock()
-	for _, p := range pages {
-		db.protected[p]++
-	}
-	db.protMu.Unlock()
-}
-
-// unprotect drops the pins taken by protect.
-func (db *DB) unprotect(pages []uint32) {
-	db.protMu.Lock()
-	for _, p := range pages {
-		if db.protected[p]--; db.protected[p] <= 0 {
-			delete(db.protected, p)
-		}
-	}
-	db.protMu.Unlock()
-}
-
-// groupSync makes the WAL record at myLSN durable, coalescing with
-// concurrent commits (leader/follower rendezvous — see the innodb
-// engine's groupSync for the protocol discussion).
-func (db *DB) groupSync(t *sim.Task, myLSN int64) error {
-	db.gcMu.Lock(t)
-	grouped := false
-	var err error
-	for err == nil && db.gcDurable <= myLSN {
-		if db.gcSyncing {
-			grouped = true
-			gen := db.gcGen
-			db.gcCond.Wait(t, &db.gcMu)
-			if db.gcGen != gen && db.gcErr != nil && db.gcDurable <= myLSN {
-				err = db.gcErr
-			}
-			continue
-		}
-		db.gcSyncing = true
-		db.gcMu.Unlock(t)
-		serr := db.log.Sync(t)
-		durable := db.log.DurableLSN()
-		db.gcMu.Lock(t)
-		db.gcSyncing = false
-		db.gcGen++
-		db.gcErr = serr
-		if serr == nil {
-			if durable > db.gcDurable {
-				db.gcDurable = durable
-			}
-			atomic.AddInt64(&db.st.GroupCommits, 1)
-		} else {
-			err = serr
-		}
-		db.gcCond.Broadcast(t)
-	}
-	if grouped && err == nil {
-		atomic.AddInt64(&db.st.GroupedTxns, 1)
-	}
-	db.gcUnsynced--
-	if db.gcUnsynced == 0 {
-		db.gcDrain.Broadcast(t)
-	}
-	db.gcMu.Unlock(t)
-	return err
 }
 
 // updateTuple adds delta to the 8-byte balance of row in the table whose
@@ -682,18 +553,17 @@ func (db *DB) RunTxn(t *sim.Task, rng *rand.Rand) error {
 // WAL fsync happens in the group-commit rendezvous with the latch
 // released, so concurrent sessions share one flush.
 func (db *DB) Txn(t *sim.Task, p TxnParams) error {
-	if db.degraded.Load() {
+	if db.Degraded() {
 		return ErrReadOnly
 	}
-	return db.noteDeviceErr(db.runTxn(t, p))
+	return db.Note(db.runTxn(t, p))
 }
 
 func (db *DB) runTxn(t *sim.Task, p TxnParams) error {
 	db.mu.Lock(t)
-	db.applying = true
-	db.txnPages = make(map[uint32]bool)
+	db.pool.BeginCollect()
 	fail := func(err error) error {
-		db.applying = false
+		db.pool.EndCollect()
 		db.mu.Unlock(t)
 		return err
 	}
@@ -720,20 +590,13 @@ func (db *DB) runTxn(t *sim.Task, p TxnParams) error {
 	// Hand the dirtied pages to the refcounted pin set (it outlives the
 	// latch), register with the drain counter, and release the latch so
 	// the next session applies while we sync.
-	dirtied := make([]uint32, 0, len(db.txnPages))
-	for pageNo := range db.txnPages {
-		dirtied = append(dirtied, pageNo)
-	}
-	db.protect(dirtied)
-	db.applying = false
-	db.txnPages = make(map[uint32]bool)
-	db.gcMu.Lock(t)
-	db.gcUnsynced++
-	db.gcMu.Unlock(t)
+	dirtied := db.pool.EndCollect()
+	db.pool.Protect(dirtied)
+	db.gc.Enter(t)
 	db.mu.Unlock(t)
 
-	err = db.groupSync(t, myLSN)
-	db.unprotect(dirtied)
+	err = db.gc.Sync(t, myLSN)
+	db.pool.Unprotect(dirtied)
 	if err != nil {
 		return err
 	}
@@ -768,12 +631,12 @@ func (db *DB) Stats() Stats {
 	s.FullImages = atomic.LoadInt64(&db.st.FullImages)
 	s.Checkpoints = atomic.LoadInt64(&db.st.Checkpoints)
 	s.DataPagesFlushed = atomic.LoadInt64(&db.st.DataPagesFlushed)
-	s.GroupCommits = atomic.LoadInt64(&db.st.GroupCommits)
-	s.GroupedTxns = atomic.LoadInt64(&db.st.GroupedTxns)
-	s.ReadOnlyTransitions = atomic.LoadInt64(&db.st.ReadOnlyTransitions)
+	s.GroupCommits = db.gc.GroupCommits()
+	s.GroupedTxns = db.gc.GroupedTxns()
+	s.ReadOnlyTransitions = db.ReadOnlyTransitions()
 	s.WALPages = db.log.PagesWritten()
 	s.WALReadTruncations = db.log.ReadTruncations()
-	s.Degraded = db.degraded.Load()
+	s.Degraded = db.Degraded()
 	return s
 }
 

@@ -2,6 +2,7 @@ package pgmini
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -13,10 +14,20 @@ import (
 
 func testDB(t *testing.T, mode Mode) (*DB, *sim.Task) {
 	t.Helper()
-	cfg := ssd.DefaultConfig(512)
-	cfg.Geometry.PageSize = 512
-	cfg.Geometry.PagesPerBlock = 32
-	dev, err := ssd.New("pg", cfg)
+	return testDBOn(t, Config{
+		Scale: 1, Mode: mode, PageSize: 512, PoolBytes: 64 * 1024,
+		CheckpointEvery: 500,
+	}, nil)
+}
+
+// testDBOn opens cfg on fresh devices; prep, when set, runs on the empty
+// file system before the database is created.
+func testDBOn(t *testing.T, cfg Config, prep func(fs *fsim.FS, task *sim.Task)) (*DB, *sim.Task) {
+	t.Helper()
+	dcfg := ssd.DefaultConfig(512)
+	dcfg.Geometry.PageSize = 512
+	dcfg.Geometry.PagesPerBlock = 32
+	dev, err := ssd.New("pg", dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,6 +35,9 @@ func testDB(t *testing.T, mode Mode) (*DB, *sim.Task) {
 	fs, err := fsim.Format(task, dev, 32)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if prep != nil {
+		prep(fs, task)
 	}
 	lcfg := ssd.DefaultConfig(256)
 	lcfg.Geometry.PageSize = 512
@@ -37,10 +51,7 @@ func testDB(t *testing.T, mode Mode) (*DB, *sim.Task) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open(task, fs, logDev, Config{
-		Scale: 1, Mode: mode, PageSize: 512, PoolBytes: 64 * 1024,
-		CheckpointEvery: 500,
-	})
+	db, err := Open(task, fs, logDev, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,5 +449,88 @@ func TestRecoveryReplaysCommittedDeltas(t *testing.T) {
 	}
 	if db2.historyRows == 0 {
 		t.Fatal("history rows not recovered")
+	}
+}
+
+// oddHoles leaves fs with n free holePages-page holes and nothing else:
+// hole files and 4-page files alternate, the hole files are removed and
+// the free tail is filled. With holePages odd, files allocated afterwards
+// have extent boundaries inside two-device-page engine pages.
+func oddHoles(t *testing.T, fs *fsim.FS, task *sim.Task, n, holePages int) {
+	t.Helper()
+	ps := int64(fs.Device().PageSize())
+	alloc := func(name string, pages int) {
+		f, err := fs.Create(task, name)
+		if err == nil {
+			err = f.Allocate(task, 0, int64(pages)*ps)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		alloc(fmt.Sprintf("hole%d", i), holePages)
+		alloc(fmt.Sprintf("keep%d", i), 4)
+	}
+	for i := 0; i < n; i++ {
+		if err := fs.Remove(task, fmt.Sprintf("hole%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.SyncMeta(task); err != nil {
+		t.Fatal(err)
+	}
+	alloc("tail", fs.FreePages()-n*holePages)
+}
+
+// FPWShare on a fragmented file system: engine pages are two device pages
+// and both the heap and the stage file live in 45-page extents (the
+// smallest odd holes the 24-extent inode can build a scale-1 heap from),
+// so heap pages and stage slots straddle extent boundaries at different
+// places. The checkpoint remap must follow each file's own extent map.
+func TestFPWShareOnFragmentedFS(t *testing.T) {
+	db, task := testDBOn(t, Config{
+		Scale: 1, Mode: FPWShare, PageSize: 1024, PoolBytes: 64 * 1024,
+		CheckpointEvery: 50,
+	}, func(fs *fsim.FS, task *sim.Task) { oddHoles(t, fs, task, 27, 45) })
+	if h, s := len(db.file.Extents()), len(db.scratch.Extents()); h < 20 || s < 3 {
+		t.Fatalf("heap has %d extents, stage %d; the layout recipe no longer fragments them", h, s)
+	}
+	accounts := make(map[int]int64)
+	tellers := make(map[int]int64)
+	branches := make(map[int]int64)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 300; i++ {
+		p := TxnParams{
+			Account: rng.Intn(db.Accounts()), Teller: rng.Intn(db.Tellers()), Branch: rng.Intn(db.Branches()),
+			Delta: int64(rng.Intn(10000) - 5000), HistoryVal: uint64(i + 1),
+		}
+		if err := db.Txn(task, p); err != nil {
+			t.Fatalf("txn %d: %v", i, err)
+		}
+		accounts[p.Account] += p.Delta
+		tellers[p.Teller] += p.Delta
+		branches[p.Branch] += p.Delta
+	}
+	if err := db.Checkpoint(task); err != nil {
+		t.Fatal(err)
+	}
+	db.pool.Drop()
+	check := func(what string, n int, want map[int]int64, read func(*sim.Task, int) (int64, error)) {
+		for row := 0; row < n; row++ {
+			got, err := read(task, row)
+			if err != nil || got != want[row] {
+				t.Fatalf("%s %d = %d, %v; want %d", what, row, got, err, want[row])
+			}
+		}
+	}
+	check("account", db.Accounts(), accounts, db.Balance)
+	check("teller", db.Tellers(), tellers, db.TellerBalance)
+	check("branch", db.Branches(), branches, db.BranchBalance)
+	if err := db.fs.Device().FTLForTest().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.fs.Fsck(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -184,11 +184,11 @@ func (s *Server) Close() error {
 	return err
 }
 
-// errLine renders err as a wire error. Read-only degradation — the
-// couch store's latched state or the raw device error underneath it —
-// gets the typed "ERR DEGRADED" form; everything else stays a plain ERR.
+// errLine renders err as a wire error. Read-only degradation — the raw
+// device error or a store's latched sentinel, which wraps it — gets the
+// typed "ERR DEGRADED" form; everything else stays a plain ERR.
 func errLine(err error) string {
-	if errors.Is(err, couch.ErrReadOnly) || errors.Is(err, ftl.ErrReadOnly) {
+	if errors.Is(err, ftl.ErrReadOnly) {
 		return "ERR DEGRADED " + err.Error()
 	}
 	return "ERR " + err.Error()

@@ -90,6 +90,22 @@ func TestServerProtocol(t *testing.T) {
 	c.must(t, "QUIT", "OK")
 }
 
+// TestServerReadYourWritesInShareBatch: the server keeps no doc cache, so
+// in SHARE mode a GET between SET and COMMIT must still see the SET even
+// though the remap that installs it is deferred to the commit.
+func TestServerReadYourWritesInShareBatch(t *testing.T) {
+	_, addr := startServer(t, Config{Blocks: 128, PageSize: 512, ShareMode: true})
+	c := dial(t, addr)
+	defer c.conn.Close()
+	c.must(t, "USE alpha", "OK")
+	c.must(t, "SET k v1", "OK")
+	c.must(t, "COMMIT", "OK")
+	c.must(t, "SET k v2", "OK")
+	c.must(t, "GET k", "VAL v2")
+	c.must(t, "COMMIT", "OK")
+	c.must(t, "GET k", "VAL v2")
+}
+
 // TestServerDegradedWireError drives the server's device into read-only
 // degradation mid-session — scheduled permanent program faults retire
 // blocks past a one-block spare budget — and checks the protocol

@@ -7,9 +7,8 @@ import (
 	"sort"
 
 	"share/internal/btree"
-	"share/internal/core"
+	"share/internal/fsim"
 	"share/internal/sim"
-	"share/internal/ssd"
 )
 
 // Log-file group layout (journal and WAL share it): a header page
@@ -29,35 +28,25 @@ func checksum32(b []byte) uint32 {
 	return h
 }
 
-// dirtySorted returns the txn's dirty pages in ascending order.
-func (db *DB) dirtySorted() []uint32 {
-	out := make([]uint32, 0, len(db.txnPages))
-	for p := range db.txnPages {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// commit makes the finished transaction durable per the configured mode.
-func (db *DB) commit(t *sim.Task) error {
-	if len(db.txnPages) == 0 {
+// commit makes the finished transaction — its dirty pages, ascending —
+// durable per the configured mode.
+func (db *DB) commit(t *sim.Task, pages []uint32) error {
+	if len(pages) == 0 {
 		return nil
 	}
 	var err error
 	switch db.cfg.Mode {
 	case Rollback:
-		err = db.commitRollback(t)
+		err = db.commitRollback(t, pages)
 	case WAL:
-		err = db.commitWAL(t)
+		err = db.commitWAL(t, pages)
 	case Share:
-		err = db.commitShare(t)
+		err = db.commitShare(t, pages)
 	default:
 		err = fmt.Errorf("sqlmini: unknown mode %d", db.cfg.Mode)
 	}
 	if err == nil {
 		db.st.Commits++
-		db.txnPages = make(map[uint32]bool)
 	}
 	return err
 }
@@ -102,8 +91,7 @@ type groupFile interface {
 }
 
 // commitRollback: SQLite's classic three-sync protocol.
-func (db *DB) commitRollback(t *sim.Task) error {
-	pages := db.dirtySorted()
+func (db *DB) commitRollback(t *sim.Task, pages []uint32) error {
 	if len(pages)*4+20 > db.cfg.PageSize {
 		return fmt.Errorf("sqlmini: transaction touches %d pages; header overflow", len(pages))
 	}
@@ -147,8 +135,7 @@ func (db *DB) commitRollback(t *sim.Task) error {
 
 // commitWAL: one group append + one fsync; home pages stay stale until a
 // checkpoint.
-func (db *DB) commitWAL(t *sim.Task) error {
-	pages := db.dirtySorted()
+func (db *DB) commitWAL(t *sim.Task, pages []uint32) error {
 	if len(pages)*4+20 > db.cfg.PageSize {
 		return fmt.Errorf("sqlmini: transaction touches %d pages; header overflow", len(pages))
 	}
@@ -214,14 +201,13 @@ func (db *DB) checkpointWAL(t *sim.Task) error {
 
 // commitShare: stage once, fsync, remap. No journal, no second write, no
 // checkpoint debt; the SHARE command's delta page is the commit record.
-func (db *DB) commitShare(t *sim.Task) error {
-	pages := db.dirtySorted()
+func (db *DB) commitShare(t *sim.Task, pages []uint32) error {
 	if len(pages) > db.cfg.StagePages {
 		return fmt.Errorf("sqlmini: transaction touches %d pages > stage area %d",
 			len(pages), db.cfg.StagePages)
 	}
 	ps := int64(db.cfg.PageSize)
-	// Ensure home pages are allocated so MapRange can translate them.
+	// Ensure home pages are allocated so SHARE can translate them.
 	maxPage := pages[len(pages)-1]
 	if err := db.file.Allocate(t, 0, ps*int64(maxPage+1)); err != nil {
 		return err
@@ -243,22 +229,12 @@ func (db *DB) commitShare(t *sim.Task) error {
 	if err := db.stg.Sync(t); err != nil {
 		return err
 	}
-	var pairs []ssd.Pair
+	segs := make([]fsim.ShareSeg, len(pages))
 	for i, p := range pages {
-		dst, err := db.file.MapRange(ps*int64(p), ps)
-		if err != nil {
-			return err
-		}
-		src, err := db.stg.MapRange(ps*int64(i), ps)
-		if err != nil {
-			return err
-		}
-		for j := range dst {
-			pairs = append(pairs, ssd.Pair{Dst: dst[j].Start, Src: src[j].Start, Len: dst[j].Len})
-		}
-		db.st.SharePairs++
+		segs[i] = fsim.ShareSeg{Dst: db.file, DstOff: ps * int64(p), Src: db.stg, SrcOff: ps * int64(i), Len: ps}
 	}
-	if err := core.ShareAll(t, db.fs.Device(), pairs); err != nil {
+	db.st.SharePairs += int64(len(pages))
+	if err := db.fs.ShareVec(t, segs); err != nil {
 		return err
 	}
 	// The staged copies are now redundant aliases; the pool frames are
@@ -273,11 +249,7 @@ func (db *DB) commitPages(t *sim.Task) error {
 	if err := db.pool.FlushAll(t); err != nil {
 		return err
 	}
-	if err := db.file.Sync(t); err != nil {
-		return err
-	}
-	db.txnPages = make(map[uint32]bool)
-	return nil
+	return db.file.Sync(t)
 }
 
 // recoverMode runs the mode's crash-recovery protocol at open.

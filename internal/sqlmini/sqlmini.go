@@ -22,10 +22,8 @@ import (
 
 	"share/internal/btree"
 	"share/internal/bufpool"
-	"share/internal/core"
 	"share/internal/fsim"
 	"share/internal/sim"
-	"share/internal/ssd"
 )
 
 // Mode selects the commit protocol.
@@ -114,8 +112,7 @@ type DB struct {
 	root uint32
 	hwm  uint32
 
-	txnPages map[uint32]bool
-	inTxn    bool
+	inTxn bool // single writer: guards against a nested Update
 
 	walMap   map[uint32][]byte // newest WAL image per page (read overlay)
 	walPages int               // images in the WAL since last checkpoint
@@ -136,7 +133,7 @@ func Open(t *sim.Task, fs *fsim.FS, cfg Config) (*DB, error) {
 	if err := cfg.setDefaults(fs.Device().PageSize()); err != nil {
 		return nil, err
 	}
-	db := &DB{fs: fs, cfg: cfg, txnPages: make(map[uint32]bool), walMap: make(map[uint32][]byte)}
+	db := &DB{fs: fs, cfg: cfg, walMap: make(map[uint32][]byte)}
 	fresh := !fs.Exists(cfg.Name)
 	var err error
 	open := func(name string) (*fsim.File, error) {
@@ -169,20 +166,12 @@ func Open(t *sim.Task, fs *fsim.FS, cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool.OnDirty = func(pageNo uint32) {
-		if db.inTxn {
-			db.txnPages[pageNo] = true
-		}
-	}
 	pool.MissOverlay = func(pageNo uint32) []byte {
 		if db.cfg.Mode == WAL {
 			return db.walMap[pageNo]
 		}
 		return nil
 	}
-	// Mid-transaction pages must not reach the file before the commit
-	// protocol says so (no-steal).
-	pool.Protected = func(pageNo uint32) bool { return db.inTxn && db.txnPages[pageNo] }
 	db.pool = pool
 
 	if fresh {
@@ -237,8 +226,6 @@ func (db *DB) initMeta(t *sim.Task) error {
 	btree.InitPage(r.Data)
 	r.MarkDirty()
 	r.Release()
-	db.inTxn = false
-	db.txnPages = map[uint32]bool{0: true, 1: true}
 	return nil
 }
 
@@ -301,7 +288,10 @@ func (db *DB) Update(t *sim.Task, fn func(tx *Tx) error) error {
 		return fmt.Errorf("sqlmini: nested transaction")
 	}
 	db.inTxn = true
-	db.txnPages = make(map[uint32]bool)
+	defer func() { db.inTxn = false }()
+	// Mid-transaction pages must not reach the file before the commit
+	// protocol says so (no-steal): the pool collects and holds them.
+	db.pool.BeginCollect()
 	rootBefore := db.root
 	hwmBefore := db.hwm
 	tree := btree.Open(&pager{db: db}, db.root, func(newRoot uint32) {
@@ -309,30 +299,29 @@ func (db *DB) Update(t *sim.Task, fn func(tx *Tx) error) error {
 	})
 	tx := &Tx{db: db, t: t, tree: tree}
 	if err := fn(tx); err != nil {
-		// Abort: throw away every cached page the txn touched.
+		// Abort: throw away every cached page the txn touched. In WAL mode
+		// dropped frames whose truth lives in the log re-load via the overlay.
+		db.pool.EndCollect()
 		db.pool.Drop()
 		db.root = rootBefore
 		db.hwm = hwmBefore
-		db.inTxn = false
-		if db.cfg.Mode == WAL {
-			// Dropped frames whose truth lives in the WAL re-load via the
-			// overlay; nothing else to do.
-			return err
-		}
 		return err
 	}
 	// Root/hwm may have moved: refresh the meta page inside the txn.
 	f, err := db.pool.Get(t, 0)
 	if err != nil {
-		db.inTxn = false
+		db.pool.EndCollect()
 		return err
 	}
 	db.renderMeta(f.Data)
 	f.MarkDirty()
 	f.Release()
-	err = db.commit(t)
-	db.inTxn = false
-	return err
+	// The commit protocol may evict while it works; keep the dirty set
+	// pinned until it is done.
+	pages := db.pool.EndCollect()
+	db.pool.Protect(pages)
+	defer db.pool.Unprotect(pages)
+	return db.commit(t, pages)
 }
 
 // Get reads a key outside any transaction.
@@ -360,9 +349,6 @@ func (db *DB) Stats() Stats { return db.st }
 
 // Root returns the current tree root (for tests).
 func (db *DB) Root() uint32 { return db.root }
-
-var _ = ssd.Pair{} // keep the ssd import for the share path below
-var _ = core.ShareAll
 
 // btreeOpen returns a tree handle bound to the current root; exported to
 // the package tests, which drive partial commit protocols by hand.

@@ -163,8 +163,7 @@ func TestRollbackJournalRollsBackTornCommit(t *testing.T) {
 	}
 	// Manually run half a commit: journal + in-place writes, then "crash"
 	// before the journal truncate (the commit point).
-	db.inTxn = true
-	db.txnPages = make(map[uint32]bool)
+	db.pool.BeginCollect()
 	tree := newTreeForTest(db)
 	if err := tree.Put(task, []byte("acct"), []byte("balance=999")); err != nil {
 		t.Fatal(err)
@@ -176,7 +175,7 @@ func TestRollbackJournalRollsBackTornCommit(t *testing.T) {
 	db.renderMeta(f.Data)
 	f.MarkDirty()
 	f.Release()
-	pages := db.dirtySorted()
+	pages := db.pool.EndCollect()
 	buf := make([]byte, db.cfg.PageSize)
 	ps := int64(db.cfg.PageSize)
 	if _, err := db.writeGroup(task, db.jrnl, 0, pages, func(p uint32) ([]byte, error) {
@@ -372,4 +371,91 @@ type treeHandle struct{ db *DB }
 func (h *treeHandle) Put(t *sim.Task, k, v []byte) error {
 	tree := btreeOpen(h.db)
 	return tree.Put(t, k, v)
+}
+
+// oddHoles leaves fs with n free holePages-page holes and nothing else:
+// hole files and 4-page files alternate, the hole files are removed and
+// the free tail is filled. With holePages odd, files allocated afterwards
+// have extent boundaries inside two-device-page engine pages.
+func oddHoles(t *testing.T, fs *fsim.FS, task *sim.Task, n, holePages int) {
+	t.Helper()
+	ps := int64(fs.Device().PageSize())
+	alloc := func(name string, pages int) {
+		f, err := fs.Create(task, name)
+		if err == nil {
+			err = f.Allocate(task, 0, int64(pages)*ps)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		alloc(fmt.Sprintf("hole%d", i), holePages)
+		alloc(fmt.Sprintf("keep%d", i), 4)
+	}
+	for i := 0; i < n; i++ {
+		if err := fs.Remove(task, fmt.Sprintf("hole%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.SyncMeta(task); err != nil {
+		t.Fatal(err)
+	}
+	alloc("tail", fs.FreePages()-n*holePages)
+}
+
+// Share mode on a fragmented file system: engine pages are two device
+// pages and the stage file lives in 5-page extents, so some stage slots
+// straddle an extent boundary that their home pages do not. The commit's
+// remap must follow each file's own extent map.
+func TestShareCommitOnFragmentedFS(t *testing.T) {
+	cfg := ssd.DefaultConfig(512)
+	cfg.Geometry.PageSize = 512
+	cfg.Geometry.PagesPerBlock = 32
+	dev, err := ssd.New("sql", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := sim.NewSoloTask("t")
+	fs, err := fsim.Format(task, dev, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oddHoles(t, fs, task, 20, 5)
+	db, err := Open(task, fs, Config{Mode: Share, PageSize: 1024, StagePages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(db.stg.Extents()); n < 3 {
+		t.Fatalf("stage file has %d extents; the layout recipe no longer fragments it", n)
+	}
+	model := make(map[string]string)
+	for c := 0; c < 12; c++ {
+		if err := db.Update(task, func(tx *Tx) error {
+			for i := 0; i < 5; i++ {
+				k := fmt.Sprintf("key%03d", (c*5+i)*37%100)
+				v := fmt.Sprintf("commit%02d-%s", c, bytes.Repeat([]byte{'x'}, 60))
+				if err := tx.Put([]byte(k), []byte(v)); err != nil {
+					return err
+				}
+				model[k] = v
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("commit %d: %v", c, err)
+		}
+	}
+	db.pool.Drop()
+	for k, want := range model {
+		v, ok, err := db.Get(task, []byte(k))
+		if err != nil || !ok || string(v) != want {
+			t.Fatalf("%s = %q, %v, %v; want %q", k, v, ok, err, want)
+		}
+	}
+	if err := dev.FTLForTest().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Fsck(); err != nil {
+		t.Fatal(err)
+	}
 }

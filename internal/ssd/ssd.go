@@ -8,6 +8,7 @@ package ssd
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 
 	"share/internal/ftl"
@@ -311,9 +312,56 @@ func (d *Device) Trim(t *sim.Task, lpn uint32, n int) error {
 }
 
 // Share issues one SHARE command. Batches wider than MaxShareBatch must be
-// split by the caller (the core host library does this).
+// split by the caller (ShareAll does this).
 func (d *Device) Share(t *sim.Task, pairs []Pair) error {
 	return d.serve(t, metrics.CmdShare, func() (sim.Duration, error) { return d.ftl.Share(pairs) })
+}
+
+// ShareAll issues pairs as a sequence of SHARE commands, none wider than
+// MaxShareBatch. Each command is atomic; the sequence is not (callers
+// needing all-or-nothing across more pages than one batch must keep their
+// journal copy valid until completion, which is exactly what the
+// doublewrite integration does).
+//
+// Packing rule: a pair that does not fit the open command closes it and
+// starts the next, so a pair — one engine page, one document — is never
+// torn across two atomic commands. Only a pair wider than MaxShareBatch on
+// its own is split, into commands of its own.
+func (d *Device) ShareAll(t *sim.Task, pairs []Pair) error {
+	maxUnits := d.MaxShareBatch()
+	var batch []Pair
+	units := 0
+	flush := func() error {
+		if len(batch) == 0 {
+			return nil
+		}
+		err := d.Share(t, batch)
+		batch = batch[:0]
+		units = 0
+		return err
+	}
+	for _, p := range pairs {
+		if p.Len == 0 {
+			return fmt.Errorf("ssd: zero-length share pair")
+		}
+		if units+int(p.Len) > maxUnits {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		if int(p.Len) > maxUnits {
+			for off := uint32(0); off < p.Len; off += uint32(maxUnits) {
+				n := min(p.Len-off, uint32(maxUnits))
+				if err := d.Share(t, []Pair{{Dst: p.Dst + off, Src: p.Src + off, Len: n}}); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		batch = append(batch, p)
+		units += int(p.Len)
+	}
+	return flush()
 }
 
 // WriteAtomic writes a batch of pages whose mapping updates commit
@@ -469,61 +517,34 @@ type Stats struct {
 }
 
 // sub returns the epoch view of s given the baseline recorded at
-// ResetStats: counters are differenced, gauges pass through from s. Any
-// counter added to ftl.Stats or nand.Stats must be subtracted here, or
-// epoch reports will silently mix in pre-epoch history — the bug this
-// function exists to prevent.
+// ResetStats. The diff is structural, so a counter added to ftl.Stats or
+// nand.Stats is covered without touching this file: every int64 field is
+// differenced, every []int64 goes through subSlice, and the fields tagged
+// `epoch:"gauge"` where they are declared pass through from s.
 func (s Stats) sub(base Stats) Stats {
 	out := s
-	// FTL counters.
-	out.FTL.HostReads -= base.FTL.HostReads
-	out.FTL.HostWrites -= base.FTL.HostWrites
-	out.FTL.Trims -= base.FTL.Trims
-	out.FTL.Shares -= base.FTL.Shares
-	out.FTL.SharePairs -= base.FTL.SharePairs
-	out.FTL.AtomicWrites -= base.FTL.AtomicWrites
-	out.FTL.ForcedCopies -= base.FTL.ForcedCopies
-	out.FTL.GCEvents -= base.FTL.GCEvents
-	out.FTL.WearLevelMoves -= base.FTL.WearLevelMoves
-	out.FTL.RetiredBlocks -= base.FTL.RetiredBlocks
-	out.FTL.Copybacks -= base.FTL.Copybacks
-	out.FTL.CrossDieCopybacks -= base.FTL.CrossDieCopybacks
-	out.FTL.MetaMoves -= base.FTL.MetaMoves
-	out.FTL.Erases -= base.FTL.Erases
-	out.FTL.GCStallNanos -= base.FTL.GCStallNanos
-	out.FTL.ProgramRetries -= base.FTL.ProgramRetries
-	out.FTL.ProgramFails -= base.FTL.ProgramFails
-	out.FTL.EraseFails -= base.FTL.EraseFails
-	out.FTL.ReadRetries -= base.FTL.ReadRetries
-	out.FTL.UncorrectableReads -= base.FTL.UncorrectableReads
-	out.FTL.ScrubbedBlocks -= base.FTL.ScrubbedBlocks
-	out.FTL.ScrubRelocations -= base.FTL.ScrubRelocations
-	out.FTL.SoftDecodes -= base.FTL.SoftDecodes
-	out.FTL.PatrolScans -= base.FTL.PatrolScans
-	out.FTL.PatrolRefreshes -= base.FTL.PatrolRefreshes
-	out.FTL.LostPages -= base.FTL.LostPages
-	out.FTL.MetaFaults -= base.FTL.MetaFaults
-	out.FTL.LogPagesWritten -= base.FTL.LogPagesWritten
-	out.FTL.MapPagesWritten -= base.FTL.MapPagesWritten
-	out.FTL.Checkpoints -= base.FTL.Checkpoints
-	out.FTL.StreamWrites = subSlice(s.FTL.StreamWrites, base.FTL.StreamWrites)
-	out.FTL.StreamCopybacks = subSlice(s.FTL.StreamCopybacks, base.FTL.StreamCopybacks)
-	// FTL gauges pass through: SpareBlocksLeft, ReadOnly.
-
-	// Chip counters.
-	out.Chip.Reads -= base.Chip.Reads
-	out.Chip.Programs -= base.Chip.Programs
-	out.Chip.Erases -= base.Chip.Erases
-	out.Chip.ProgramFails -= base.Chip.ProgramFails
-	out.Chip.EraseFails -= base.Chip.EraseFails
-	out.Chip.EccCorrected -= base.Chip.EccCorrected
-	out.Chip.ReadFails -= base.Chip.ReadFails
-	out.Chip.RetryReads -= base.Chip.RetryReads
-	out.Chip.SoftReads -= base.Chip.SoftReads
-	out.Chip.MediaHardReads -= base.Chip.MediaHardReads
-	// Chip gauges pass through: MaxWear, MinWear, BadBlocks, MaxPageRisk,
-	// MeanPageRisk.
+	subFields(reflect.ValueOf(&out.FTL).Elem(), reflect.ValueOf(base.FTL))
+	subFields(reflect.ValueOf(&out.Chip).Elem(), reflect.ValueOf(base.Chip))
 	return out
+}
+
+// subFields differences the counters of one stats struct against base, in
+// place. TestStatsFieldsClassified keeps the panic unreachable.
+func subFields(out, base reflect.Value) {
+	for i := 0; i < out.NumField(); i++ {
+		sf := out.Type().Field(i)
+		if sf.Tag.Get("epoch") == "gauge" {
+			continue
+		}
+		switch f := out.Field(i); v := f.Interface().(type) {
+		case int64:
+			f.SetInt(v - base.Field(i).Int())
+		case []int64:
+			f.Set(reflect.ValueOf(subSlice(v, base.Field(i).Interface().([]int64))))
+		default:
+			panic(fmt.Sprintf("ssd: %s.%s is neither a counter nor a tagged gauge", out.Type(), sf.Name))
+		}
+	}
 }
 
 // subSlice diffs per-stream counter slices elementwise into a fresh

@@ -280,7 +280,7 @@ func NewTask(name string) *Task { return sim.NewSoloTask(name) }
 var ErrFull = ftl.ErrFull
 
 // ErrBatch is returned when a single SHARE command exceeds the device's
-// atomic limit; split with internal/core.ShareAll.
+// atomic limit; Device.ShareAll splits a pair list for you.
 var ErrBatch = ftl.ErrBatch
 
 // DefaultTiming exposes the MLC NAND latencies used by the simulator.
