@@ -33,13 +33,15 @@ check:
 	$(MAKE) bench-cache
 
 # fuzz-crash runs the whole-stack crash harness (internal/crashcheck) in
-# short mode: for every engine x SHARE-mode cell (innodb DWB-on/SHARE,
-# innodb+extended-cache, couch copy/SHARE, pgmini FPW-on/FPW-SHARE) it
-# power-cuts the stack at a
-# CRASHCHECK_SEED-sampled set of program/erase boundaries, reopens, and
-# checks the durability oracle (no committed write lost, no uncommitted
-# write surfaced). The seeded NAND fault-plan runs (seeds 7, 11, 13 for
-# innodb/pgmini/couch) always execute in full. Long mode — plain
+# short mode: for every engine x mode cell of its table (innodb
+# DWB-on/SHARE/AtomicWrite, innodb+extended-cache, innodb with concurrent
+# sessions, couch copy/SHARE, couch under patrol, pgmini FPW-on/FPW-SHARE,
+# sqlmini rollback/WAL/SHARE) it power-cuts the stack at a
+# CRASHCHECK_SEED-sampled set of program/erase boundaries, restarts it
+# (FTL invariants and fsck checked on every reopen), and checks the
+# durability oracle (no committed write lost, no uncommitted write
+# surfaced). The seeded NAND fault-plan runs (seeds 7, 11, 13 for
+# innodb/pgmini/couch, 17 on the cache tier) always execute in full. Long mode — plain
 # `go test ./internal/crashcheck/` — visits every boundary exhaustively.
 fuzz-crash:
 	CRASHCHECK_SEED=$(CRASHCHECK_SEED) $(GO) test -short -count=1 ./internal/crashcheck/

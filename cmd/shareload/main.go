@@ -5,9 +5,8 @@
 // a mixed-tenant load.
 //
 // Transient transport failures (connection reset, server restart) are
-// retried with bounded exponential backoff — redial, re-USE, replay —
-// mirroring internal/stress; recovered retries are counted separately
-// from errors.
+// retried with bounded exponential backoff — redial, re-USE, replay — by
+// server.Client; recovered retries are counted separately from errors.
 //
 // Usage:
 //
@@ -16,22 +15,15 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"strings"
 	"sync"
 	"time"
-)
 
-// Bounded retry budget for transient transport errors, matching
-// internal/stress: base 2ms doubling per attempt plus seeded jitter.
-const (
-	retryMax  = 3
-	retryBase = 2 * time.Millisecond
+	"share/internal/server"
 )
 
 type result struct {
@@ -39,94 +31,6 @@ type result struct {
 	ops     int
 	errs    int
 	retries int
-}
-
-// rconn is a retrying connection: redial + re-USE + replay on transport
-// errors, up to retryMax attempts with seeded jittered backoff.
-type rconn struct {
-	addr    string
-	tenant  string // re-issued as USE after every redial, once set
-	conn    net.Conn
-	r       *bufio.Reader
-	rng     *rand.Rand // backoff jitter only
-	retries *int
-}
-
-func (c *rconn) redial() error {
-	conn, err := net.Dial("tcp", c.addr)
-	if err != nil {
-		return err
-	}
-	r := bufio.NewReader(conn)
-	if c.tenant != "" {
-		if _, err := fmt.Fprintf(conn, "USE %s\n", c.tenant); err != nil {
-			conn.Close()
-			return err
-		}
-		resp, err := r.ReadString('\n')
-		if err != nil {
-			conn.Close()
-			return err
-		}
-		if strings.TrimRight(resp, "\n") != "OK" {
-			conn.Close()
-			return fmt.Errorf("re-USE %s: %s", c.tenant, resp)
-		}
-	}
-	c.conn, c.r = conn, r
-	return nil
-}
-
-func (c *rconn) roundTrip(line string) (string, error) {
-	if _, err := fmt.Fprintf(c.conn, "%s\n", line); err != nil {
-		return "", err
-	}
-	resp, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(resp, "\n"), nil
-}
-
-// do sends one command and reads its reply, retrying transport errors.
-// Server-level ERR replies pass through; only the transport is retried.
-// When the budget is exhausted the transport error is rendered as an ERR
-// line so the caller's error accounting catches it.
-func (c *rconn) do(line string) string {
-	for attempt := 0; ; attempt++ {
-		if c.conn == nil {
-			if err := c.redial(); err != nil {
-				if attempt >= retryMax {
-					return "ERR " + err.Error()
-				}
-				c.backoff(attempt)
-				continue
-			}
-		}
-		resp, err := c.roundTrip(line)
-		if err == nil {
-			return resp
-		}
-		c.conn.Close()
-		c.conn = nil
-		if attempt >= retryMax {
-			return "ERR " + err.Error()
-		}
-		c.backoff(attempt)
-	}
-}
-
-func (c *rconn) backoff(attempt int) {
-	*c.retries++
-	d := retryBase << attempt
-	d += time.Duration(c.rng.Int63n(int64(retryBase)))
-	time.Sleep(d)
-}
-
-func (c *rconn) close() {
-	if c.conn != nil {
-		c.conn.Close()
-	}
 }
 
 func main() {
@@ -149,39 +53,37 @@ func main() {
 			defer wg.Done()
 			tenant := fmt.Sprintf("tenant%d", cl%*tenants)
 			res := result{tenant: tenant}
-			defer func() { results <- res }()
-			c := &rconn{
-				addr:    *addr,
-				rng:     rand.New(rand.NewSource(*seed + int64(cl) + 1<<32)),
-				retries: &res.retries,
-			}
-			defer c.close()
-			if resp := c.do("USE " + tenant); resp != "OK" {
+			c := server.NewClient(*addr, *seed+int64(cl)+1<<32)
+			defer func() {
+				res.retries = c.Retries()
+				c.Close()
+				results <- res
+			}()
+			if resp, err := c.Use(tenant); err != nil || resp != "OK" {
 				res.errs++
 				return
 			}
-			c.tenant = tenant // redials re-select the tenant from here on
 			rng := rand.New(rand.NewSource(*seed + int64(cl)))
 			value := strings.Repeat("x", *valLen)
 			for i := 0; i < *ops; i++ {
 				key := fmt.Sprintf("c%dk%d", cl, rng.Intn(*ops))
-				var resp string
+				line := fmt.Sprintf("SET %s %s", key, value)
 				switch rng.Intn(10) {
 				case 0:
-					resp = c.do("COMMIT")
+					line = "COMMIT"
 				case 1, 2, 3:
-					resp = c.do("GET " + key)
-				default:
-					resp = c.do(fmt.Sprintf("SET %s %s", key, value))
+					line = "GET " + key
 				}
-				if strings.HasPrefix(resp, "ERR") {
+				// A transport error past the retry budget counts like a
+				// server-level ERR reply.
+				if resp, _, err := c.Do(line); err != nil || strings.HasPrefix(resp, "ERR") {
 					res.errs++
 				} else {
 					res.ops++
 				}
 			}
-			c.do("COMMIT")
-			c.do("QUIT")
+			c.Do("COMMIT")
+			c.Do("QUIT")
 		}(cl)
 	}
 	wg.Wait()

@@ -15,10 +15,12 @@ import (
 	"log"
 
 	"share"
-	"share/internal/core"
 )
 
-const accounts = 8 // one account balance per page, pages 0..7
+const (
+	accounts = 8    // one account balance per page, pages 0..7
+	scratch  = 2000 // shadow area: pages 2000+, never live data
+)
 
 func balance(dev *share.Device, t *share.Task, page uint32) uint64 {
 	buf := make([]byte, dev.PageSize())
@@ -58,20 +60,32 @@ func main() {
 	}
 	fmt.Printf("initial total: %d\n", total(dev, t))
 
-	// The AtomicWriter stages into a scratch area (pages 2000+).
-	w, err := core.NewAtomicWriter(dev, 2000, 16)
-	if err != nil {
-		log.Fatal(err)
+	// The whole user-level protocol: stage writes each new page version
+	// into the shadow area and remembers where it belongs; commit flushes
+	// the shadow writes, then one SHARE batch remaps every home page onto
+	// its shadow copy. Nothing is visible at home until the batch, and the
+	// batch is all-or-nothing across power failure.
+	var staged []share.Pair
+	stage := func(page uint32, v uint64) {
+		setBalance(buf, v)
+		shadow := scratch + uint32(len(staged))
+		if err := dev.WritePage(t, shadow, buf); err != nil {
+			log.Fatal(err)
+		}
+		staged = append(staged, share.Pair{Dst: page, Src: shadow, Len: 1})
+	}
+	commit := func() {
+		if err := dev.Flush(t); err != nil {
+			log.Fatal(err)
+		}
+		if err := dev.ShareAll(t, staged); err != nil {
+			log.Fatal(err)
+		}
+		staged = nil
 	}
 
 	// Transaction 1: move 30 units from account 0 to accounts 1 and 2 —
 	// three pages must change together. Stage, then crash BEFORE commit.
-	stage := func(page uint32, v uint64) {
-		setBalance(buf, v)
-		if err := w.Stage(t, page, buf); err != nil {
-			log.Fatal(err)
-		}
-	}
 	stage(0, 70)
 	stage(1, 115)
 	stage(2, 115)
@@ -80,7 +94,7 @@ func main() {
 	if err := dev.Recover(t); err != nil {
 		log.Fatal(err)
 	}
-	w.Abort()
+	staged = nil // abort: the shadow copies are simply forgotten
 	fmt.Printf("after recovery: balances %d/%d/%d, total %d (transaction invisible)\n",
 		balance(dev, t, 0), balance(dev, t, 1), balance(dev, t, 2), total(dev, t))
 
@@ -88,9 +102,7 @@ func main() {
 	stage(0, 70)
 	stage(1, 115)
 	stage(2, 115)
-	if _, err := w.Commit(t); err != nil {
-		log.Fatal(err)
-	}
+	commit()
 	fmt.Println("crash after commit...")
 	dev.Crash()
 	if err := dev.Recover(t); err != nil {

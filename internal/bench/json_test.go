@@ -71,6 +71,22 @@ func TestSmokeJSONDeterministic(t *testing.T) {
 	if d.FTL.HostWrites == 0 || d.Chip.Programs == 0 {
 		t.Fatal("epoch counters empty")
 	}
+	// Honest window: the clients start where aging left the device idle,
+	// so no recorded latency contains the aged device's queue draining.
+	// With 400 closed-loop ops per client, one op taking a tenth of the
+	// whole window (let alone more than the window) is that artefact —
+	// the 11.8 s "write" of the pre-closedLoop fixture was 97 % of its.
+	metric := map[string]float64{}
+	for _, m := range rep.Metrics {
+		metric[m.Name] = m.Value
+	}
+	windowMs := metric["ops"] / metric["throughput"] * 1000
+	for cmd, lat := range d.Latency {
+		if lat.Max >= windowMs/10 {
+			t.Fatalf("%s latency max %.3f ms against a %.3f ms window: setup queueing leaked into the measurement",
+				cmd, lat.Max, windowMs)
+		}
+	}
 }
 
 // TestLegacyReportsOmitStreamCounters guards the legacy report format:

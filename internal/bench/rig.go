@@ -42,6 +42,30 @@ func (p *Params) setDefaults() {
 	}
 }
 
+// closedLoop is the measurement window of the concurrent experiments: n
+// closed-loop clients run on one scheduler, each advanced to t0 — the
+// virtual time at which setup (aging, formatting, loading) left the device
+// idle — before its first operation, so the window [t0, end] holds the
+// measured operations and nothing of the setup's queue draining. It
+// returns when the last client finishes, with the first client error.
+func closedLoop(t0 int64, n int, client func(task *sim.Task, i int) error) (end int64, err error) {
+	s := sim.NewScheduler()
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		s.Go(fmt.Sprintf("cli%d", i), func(task *sim.Task) {
+			task.AdvanceTo(t0)
+			errs[i] = client(task, i)
+		})
+	}
+	end = s.Run()
+	for _, err := range errs {
+		if err != nil {
+			return end, err
+		}
+	}
+	return end, nil
+}
+
 // paper-sized baselines (Scale == 1).
 const (
 	paperDeviceBlocks = 8192 // 4 GiB of 128×4 KiB blocks (OpenSSD)

@@ -70,29 +70,20 @@ func scalePoint(p Params, proto *ssd.Device, channels, depth int, t0 int64) (flo
 	dev.ResetStats() // measure the sweep workload, not the aging
 
 	span := dev.Capacity() / 2
-	s := sim.NewScheduler()
-	errs := make([]error, depth)
-	for i := 0; i < depth; i++ {
-		i := i
-		s.Go(fmt.Sprintf("cli%d", i), func(task *sim.Task) {
-			task.AdvanceTo(t0)
-			rng := newRand(p.Seed + int64(i) + 1)
-			fill := randfill.New(rng)
-			page := make([]byte, dev.PageSize())
-			for n := 0; n < writesPerClient; n++ {
-				fill.Fill(page)
-				if err := dev.WritePage(task, uint32(rng.Intn(span)), page); err != nil {
-					errs[i] = err
-					return
-				}
+	end, err := closedLoop(t0, depth, func(task *sim.Task, i int) error {
+		rng := newRand(p.Seed + int64(i) + 1)
+		fill := randfill.New(rng)
+		page := make([]byte, dev.PageSize())
+		for n := 0; n < writesPerClient; n++ {
+			fill.Fill(page)
+			if err := dev.WritePage(task, uint32(rng.Intn(span)), page); err != nil {
+				return err
 			}
-		})
-	}
-	end := s.Run()
-	for _, err := range errs {
-		if err != nil {
-			return 0, nil, err
 		}
+		return nil
+	})
+	if err != nil {
+		return 0, nil, err
 	}
 	elapsed := float64(end-t0) / float64(sim.Second)
 	return float64(depth*writesPerClient) / elapsed, dev, nil

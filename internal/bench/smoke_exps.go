@@ -38,60 +38,48 @@ func init() {
 			dev.ResetStats() // measure the mixed workload only, not the aging
 
 			span := dev.Capacity() / 2
-			s := sim.NewScheduler()
-			var end sim.Duration
-			errs := make([]error, clients)
-			for i := 0; i < clients; i++ {
-				i := i
-				s.Go(fmt.Sprintf("cli%d", i), func(task *sim.Task) {
-					rng := newRand(p.Seed + int64(i) + 1)
-					fill := randfill.New(rng)
-					page := make([]byte, dev.PageSize())
-					for n := 0; n < opsPerCli; n++ {
-						lpn := uint32(rng.Intn(span))
-						var err error
-						switch n % 8 {
-						case 0, 1, 2:
-							fill.Fill(page)
-							err = dev.WritePage(task, lpn, page)
-						case 3, 4:
-							if rerr := dev.ReadPage(task, lpn, page); rerr != nil &&
-								!errors.Is(rerr, ftl.ErrUnmapped) {
-								err = rerr
-							}
-						case 5:
-							src := uint32(rng.Intn(span))
-							if serr := dev.Share(task, []ssd.Pair{{Dst: lpn, Src: src, Len: 1}}); serr != nil &&
-								!errors.Is(serr, ftl.ErrUnmapped) {
-								err = serr
-							}
-						case 6:
-							err = dev.Trim(task, lpn, 1)
-						case 7:
-							err = dev.Flush(task)
+			// Clients start where aging left the device idle, not at
+			// virtual 0 behind its queue.
+			t0 := setup.Now()
+			end, err := closedLoop(t0, clients, func(task *sim.Task, i int) error {
+				rng := newRand(p.Seed + int64(i) + 1)
+				fill := randfill.New(rng)
+				page := make([]byte, dev.PageSize())
+				for n := 0; n < opsPerCli; n++ {
+					lpn := uint32(rng.Intn(span))
+					var err error
+					switch n % 8 {
+					case 0, 1, 2:
+						fill.Fill(page)
+						err = dev.WritePage(task, lpn, page)
+					case 3, 4:
+						if rerr := dev.ReadPage(task, lpn, page); rerr != nil &&
+							!errors.Is(rerr, ftl.ErrUnmapped) {
+							err = rerr
 						}
-						if err != nil {
-							errs[i] = err
-							return
+					case 5:
+						src := uint32(rng.Intn(span))
+						if serr := dev.Share(task, []ssd.Pair{{Dst: lpn, Src: src, Len: 1}}); serr != nil &&
+							!errors.Is(serr, ftl.ErrUnmapped) {
+							err = serr
 						}
+					case 6:
+						err = dev.Trim(task, lpn, 1)
+					case 7:
+						err = dev.Flush(task)
 					}
-					if err := dev.Flush(task); err != nil {
-						errs[i] = err
+					if err != nil {
+						return err
 					}
-					if task.Now() > end {
-						end = task.Now()
-					}
-				})
-			}
-			s.Run()
-			for _, err := range errs {
-				if err != nil {
-					return "", err
 				}
+				return dev.Flush(task)
+			})
+			if err != nil {
+				return "", err
 			}
 
 			st := dev.Stats()
-			elapsed := float64(end) / float64(sim.Second)
+			elapsed := float64(end-t0) / float64(sim.Second)
 			totalOps := float64(clients * opsPerCli)
 			r.Metric("ops", totalOps, "ops")
 			r.Metric("throughput", totalOps/elapsed, "ops/s")

@@ -71,35 +71,23 @@ func tenantsPoint(p Params, tenants, clients int) (float64, map[string]sim.Durat
 	}
 	t0 := setup.Now()
 
-	s := sim.NewScheduler()
-	errs := make([]error, clients)
-	for c := 0; c < clients; c++ {
-		c := c
+	end, err := closedLoop(t0, clients, func(task *sim.Task, c int) error {
 		tenant := c % tenants
-		s.Go(fmt.Sprintf("cli%d", c), func(task *sim.Task) {
-			task.AdvanceTo(t0)
-			task.SetTenant(fmt.Sprintf("tenant%d", tenant))
-			rng := newRand(p.Seed + int64(c) + 1)
-			st := stores[tenant]
-			val := make([]byte, tenantsValBytes)
-			for n := 0; n < tenantsOpsPerCli; n++ {
-				rng.Read(val)
-				key := []byte(fmt.Sprintf("c%dk%03d", c, rng.Intn(64)))
-				if err := st.Set(task, key, val); err != nil {
-					errs[c] = err
-					return
-				}
+		task.SetTenant(fmt.Sprintf("tenant%d", tenant))
+		rng := newRand(p.Seed + int64(c) + 1)
+		st := stores[tenant]
+		val := make([]byte, tenantsValBytes)
+		for n := 0; n < tenantsOpsPerCli; n++ {
+			rng.Read(val)
+			key := []byte(fmt.Sprintf("c%dk%03d", c, rng.Intn(64)))
+			if err := st.Set(task, key, val); err != nil {
+				return err
 			}
-			if err := st.Commit(task); err != nil {
-				errs[c] = err
-			}
-		})
-	}
-	end := s.Run()
-	for _, err := range errs {
-		if err != nil {
-			return 0, nil, nil, err
 		}
+		return st.Commit(task)
+	})
+	if err != nil {
+		return 0, nil, nil, err
 	}
 	elapsed := float64(end-t0) / float64(sim.Second)
 	tput := float64(clients*tenantsOpsPerCli) / elapsed

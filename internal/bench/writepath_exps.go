@@ -123,34 +123,25 @@ func writepathCell(p Params, proto *ssd.Device, strategy string, ioSize, depth i
 	hot := uint32(capacity / writepathHotFrac)
 	span := capacity - ioSize // ops stay in bounds without wrapping
 	opsPerClient := writepathCellPages / (ioSize * depth)
-	s := sim.NewScheduler()
-	errs := make([]error, depth)
-	for c := 0; c < depth; c++ {
-		c := c
-		s.Go(fmt.Sprintf("cli%d", c), func(task *sim.Task) {
-			task.AdvanceTo(t0)
-			rng := newRand(p.Seed + int64(100*ioSize+10*depth+c))
-			fill := randfill.New(rng)
-			zipf := rand.NewZipf(rng, 1.1, 1, uint64(span-1))
-			page := make([]byte, dev.PageSize())
-			for n := 0; n < opsPerClient; n++ {
-				base := uint32(zipf.Uint64())
-				for k := 0; k < ioSize; k++ {
-					lpn := base + uint32(k)
-					fill.Fill(page[:16])
-					if err := dev.WritePageStream(task, lpn, page, writepathHint(strategy, lpn, hot)); err != nil {
-						errs[c] = err
-						return
-					}
+	end, err := closedLoop(t0, depth, func(task *sim.Task, c int) error {
+		rng := newRand(p.Seed + int64(100*ioSize+10*depth+c))
+		fill := randfill.New(rng)
+		zipf := rand.NewZipf(rng, 1.1, 1, uint64(span-1))
+		page := make([]byte, dev.PageSize())
+		for n := 0; n < opsPerClient; n++ {
+			base := uint32(zipf.Uint64())
+			for k := 0; k < ioSize; k++ {
+				lpn := base + uint32(k)
+				fill.Fill(page[:16])
+				if err := dev.WritePageStream(task, lpn, page, writepathHint(strategy, lpn, hot)); err != nil {
+					return err
 				}
 			}
-		})
-	}
-	end := s.Run()
-	for _, err := range errs {
-		if err != nil {
-			return 0, 0, err
 		}
+		return nil
+	})
+	if err != nil {
+		return 0, 0, err
 	}
 	flusher := sim.NewSoloTask("flush")
 	flusher.AdvanceTo(end)

@@ -1,11 +1,15 @@
 // Package crashcheck is the whole-stack crash-recovery harness: a shared
 // durability oracle drives a deterministic transaction workload against
-// each host engine (innodb, pgmini, couch) over the simulated flash
-// stack, injects a power cut at every device program/erase boundary (or a
-// seeded sample in -short mode), restarts the stack — FTL recovery, file
-// system journal replay, engine recovery — and asserts that no
-// acknowledged transaction was lost and no unacknowledged transaction
-// surfaced partially.
+// each host engine (innodb, pgmini, couch, sqlmini) over the simulated
+// flash stack, injects a power cut at every device program/erase boundary
+// (or a seeded sample in -short mode), restarts the stack — FTL recovery
+// and invariant check, file system journal replay and fsck, engine
+// recovery — and asserts that no acknowledged transaction was lost and no
+// unacknowledged transaction surfaced partially.
+//
+// Every cell is a row of one table (cells_test.go) run by one driver (Matrix)
+// on one rig (rig.go); engines plug in through the two-method kv surface
+// in workload.go.
 //
 // The oracle is a pure model of the workload: transaction i's effects are
 // a deterministic function of i, so the recovered engine state must equal
@@ -23,30 +27,12 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"testing"
 
-	"share/internal/ssd"
+	"share/internal/sim"
 )
-
-// Stack is one engine + device stack under crash test.
-type Stack interface {
-	// Devices returns the devices whose program/erase boundaries the
-	// harness cuts. Index 0 is the data device.
-	Devices() []*ssd.Device
-	// Step applies transaction i. A non-nil error means the transaction
-	// was not acknowledged (the device lost power mid-flight).
-	Step(i int) error
-	// Reopen power-cycles every device and reopens the whole stack,
-	// running crash recovery at each layer.
-	Reopen() error
-	// Verify checks the recovered state against the oracle: it must equal
-	// the model state after `committed` transactions, or after `attempted`
-	// when the in-flight commit became durable before its ack. Any other
-	// state is an error.
-	Verify(committed, attempted int) error
-}
 
 // shortSample is how many crash points are sampled per device in -short
 // mode (the first and last boundary are always included).
@@ -85,129 +71,140 @@ func cutPoints(total int64, short bool, salt int64) []int64 {
 	for c := range picked {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// Matrix runs the crash matrix for one stack configuration: it measures
-// the boundary space of the workload on every device with a clean run
-// (verifying recovery of the complete workload along the way), then
-// crashes a fresh stack at each selected boundary of each device and
-// verifies the durability oracle after recovery.
-func Matrix(t testing.TB, name string, build func() (Stack, error), txns int) {
-	s, err := build()
-	if err != nil {
-		t.Fatalf("%s: build: %v", name, err)
-	}
-	devs := s.Devices()
-	before := make([]int64, len(devs))
-	for i, d := range devs {
-		before[i] = d.MutatingOps()
-	}
-	for i := 0; i < txns; i++ {
-		if err := s.Step(i); err != nil {
-			t.Fatalf("%s: clean run step %d: %v", name, i, err)
+// drive runs every session's transactions until they finish or the power
+// is lost, and reports per session how many were acknowledged and how
+// many attempted (attempted == acked+1 when a commit died mid-flight),
+// plus the first step error. One session runs on the rig's own task;
+// several run as scheduler tasks, which makes the interleaving — and
+// therefore every cut point, including cuts inside a coalesced log flush
+// carrying several sessions' commit records — deterministic.
+func drive(c *cell, r *rig, s stack) (acked, attempted []int, err error) {
+	n := max(c.sessions, 1)
+	acked, attempted = make([]int, n), make([]int, n)
+	session := func(t *sim.Task, sess int) {
+		for i := 0; i < c.txns; i++ {
+			attempted[sess] = i + 1
+			if e := s.step(t, sess, i); e != nil {
+				if err == nil {
+					err = fmt.Errorf("session %d step %d: %w", sess, i, e)
+				}
+				return
+			}
+			acked[sess] = i + 1
 		}
 	}
-	totals := make([]int64, len(devs))
-	for i, d := range devs {
-		totals[i] = d.MutatingOps() - before[i]
+	if n == 1 {
+		session(r.task, 0)
+		return
 	}
-	// A crash after the full workload must preserve everything.
-	if err := s.Reopen(); err != nil {
-		t.Fatalf("%s: clean run reopen: %v", name, err)
+	sched := sim.NewScheduler()
+	for sess := 0; sess < n; sess++ {
+		sched.Go(fmt.Sprintf("sess%d", sess), func(t *sim.Task) { session(t, sess) })
 	}
-	if err := s.Verify(txns, txns); err != nil {
+	sched.Run()
+	return
+}
+
+// Matrix runs one row of the crash matrix: it measures the boundary space
+// of the workload on every device with a clean run (verifying recovery of
+// the complete workload along the way), then crashes a fresh stack at each
+// selected boundary of each device and verifies the durability oracle
+// after recovery. A row with a fault plan stops after the clean run: the
+// plan's faults must be ones the stack absorbs (transient program faults,
+// retired blocks, ECC-corrected or retried reads), so every transaction
+// still acknowledges and the whole workload survives the power cycle.
+func Matrix(t testing.TB, c *cell) {
+	name := c.name()
+	fresh := func() (*rig, stack) {
+		r, err := newRig(c)
+		var s stack
+		if err == nil && c.engine.open != nil {
+			s, err = newKVStack(c, r)
+		} else if err == nil {
+			s, err = newPgStack(c, r)
+		}
+		if err == nil && c.fault != nil {
+			target := r.data
+			if c.cache {
+				target = r.cache
+			}
+			err = target.SetFaultPlan(c.fault())
+		}
+		if err != nil {
+			t.Fatalf("%s: build: %v", name, err)
+		}
+		return r, s
+	}
+	restart := func(where string, r *rig, s stack, acked, attempted []int) {
+		if err := r.powerCycle(); err != nil {
+			t.Fatalf("%s: power cycle: %v", where, err)
+		}
+		if err := s.reopen(); err != nil {
+			t.Fatalf("%s: reopen: %v", where, err)
+		}
+		if err := s.verify(acked, attempted); err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+	}
+
+	r, s := fresh()
+	totals := r.mutatingOps()
+	acked, attempted, err := drive(c, r, s)
+	if err != nil {
 		t.Fatalf("%s: clean run: %v", name, err)
 	}
+	for i, after := range r.mutatingOps() {
+		totals[i] = after - totals[i]
+	}
+	t.Logf("%s: boundary totals %v", name, totals)
+	if c.cleanCheck != nil {
+		if err := c.cleanCheck(r, s); err != nil {
+			t.Fatalf("%s: clean run: %v", name, err)
+		}
+	}
+	// A crash after the full workload must preserve everything.
+	restart(name+": clean run", r, s, acked, attempted)
+	if c.fault != nil {
+		return
+	}
 
-	short := testing.Short()
-	for di := range devs {
-		cuts := cutPoints(totals[di], short, int64(di)*7919+int64(len(name)))
-		for _, cut := range cuts {
-			runCut(t, name, build, txns, di, cut, totals[di])
+	for di, total := range totals {
+		for _, cut := range cutPoints(total, testing.Short(), int64(di)*7919+int64(len(name))) {
+			r, s := fresh()
+			r.devs[di].PowerCutAfter(cut)
+			acked, attempted, _ := drive(c, r, s)
+			for _, d := range r.devs {
+				d.DisablePowerCut()
+			}
+			restart(fmt.Sprintf("%s: dev %d cut %d/%d (acked %v, attempted %v, seed %d)",
+				name, di, cut, total, acked, attempted, Seed()), r, s, acked, attempted)
 		}
 	}
 }
 
-// runCut builds a fresh stack, arms a power cut after `cut` more
-// program/erase operations on device di, drives the workload until it
-// fails (or completes), then restarts the stack and checks the oracle.
-func runCut(t testing.TB, name string, build func() (Stack, error), txns, di int, cut, total int64) {
-	s, err := build()
-	if err != nil {
-		t.Fatalf("%s: build: %v", name, err)
-	}
-	devs := s.Devices()
-	devs[di].PowerCutAfter(cut)
-	committed, attempted := 0, 0
-	for i := 0; i < txns; i++ {
-		attempted = i + 1
-		if err := s.Step(i); err != nil {
-			break
+// checkState reads every key of the two acceptable model states (they
+// share one key set) and returns nil when the engine matches either of
+// them exactly.
+func checkState(read func(key string) (string, error), afterAcked, afterAttempted map[string]string) error {
+	isAcked, isAttempted := true, true
+	for k, w := range afterAcked {
+		g, err := read(k)
+		if err != nil {
+			return fmt.Errorf("read %s: %w", k, err)
 		}
-		committed = i + 1
-	}
-	for _, d := range devs {
-		d.DisablePowerCut()
-	}
-	where := fmt.Sprintf("%s: dev %d cut %d/%d (committed %d, attempted %d, seed %d)",
-		name, di, cut, total, committed, attempted, Seed())
-	if err := s.Reopen(); err != nil {
-		t.Fatalf("%s: reopen: %v", where, err)
-	}
-	if err := s.Verify(committed, attempted); err != nil {
-		t.Fatalf("%s: %v", where, err)
-	}
-}
-
-// FaultRun drives the full workload under a NAND fault plan already
-// installed on the stack's devices, then crashes and verifies complete
-// recovery. The plan's faults must be ones the stack absorbs (transient
-// program faults, retired blocks, ECC-corrected or retried reads) so every
-// transaction still acknowledges.
-func FaultRun(t testing.TB, name string, s Stack, txns int) {
-	for i := 0; i < txns; i++ {
-		if err := s.Step(i); err != nil {
-			t.Fatalf("%s: step %d under fault plan: %v", name, i, err)
-		}
-	}
-	if err := s.Reopen(); err != nil {
-		t.Fatalf("%s: reopen after faults: %v", name, err)
-	}
-	if err := s.Verify(txns, txns); err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-}
-
-// diffStates compares an engine state snapshot against the two acceptable
-// model states and returns nil when either matches exactly.
-func diffStates(got, afterCommitted, afterAttempted map[string]string) error {
-	if equalState(got, afterCommitted) || equalState(got, afterAttempted) {
-		return nil
-	}
-	// Report the first divergence against the committed-state model.
-	for k, w := range afterCommitted {
-		g, ok := got[k]
-		if !ok {
-			return fmt.Errorf("durability violation: %q missing (want %q)", k, w)
-		}
-		if g != w && afterAttempted[k] != g {
-			return fmt.Errorf("durability violation: %q = %q, want %q (committed) or %q (in-flight)",
+		if g != w && g != afterAttempted[k] {
+			return fmt.Errorf("durability violation: %q = %.16q, want %.16q (committed) or %.16q (in-flight)",
 				k, g, w, afterAttempted[k])
 		}
+		isAcked = isAcked && g == w
+		isAttempted = isAttempted && g == afterAttempted[k]
 	}
-	return fmt.Errorf("torn recovery: state mixes committed and in-flight transaction effects")
-}
-
-func equalState(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
+	if !isAcked && !isAttempted {
+		return fmt.Errorf("torn recovery: state mixes committed and in-flight transaction effects")
 	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
+	return nil
 }

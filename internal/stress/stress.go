@@ -10,24 +10,11 @@
 package stress
 
 import (
-	"bufio"
 	"fmt"
 	"math/rand"
-	"net"
 	"strings"
-	"time"
 
 	"share/internal/server"
-)
-
-// Transient transport failures (connection reset, server restart) are
-// retried with bounded exponential backoff instead of failing the
-// worker: the connection is redialed, USE re-issued, and the in-flight
-// command re-sent, up to retryMax attempts. Backoff jitter draws from a
-// dedicated seeded rng so runs stay deterministic.
-const (
-	retryMax  = 3
-	retryBase = 2 * time.Millisecond
 )
 
 // Config shapes one stress run.
@@ -56,18 +43,23 @@ func (c *Config) setDefaults() {
 }
 
 // Report accumulates per-worker accounting; Merge folds workers together.
+// Every failed operation lands in exactly one error counter.
 type Report struct {
-	Cycles      int64 // operations completed
-	Retries     int64 // transport errors recovered by redial + replay
-	WriteErrors int64 // SET/DEL/COMMIT failures
-	ReadErrors  int64 // GET transport or server errors
-	DataErrors  int64 // GET returned the wrong value — integrity violation
+	Cycles          int64 // operations completed
+	Retries         int64 // transport errors met by the retrying client (server.Client)
+	TransportErrors int64 // commands whose transport never came back within the retry budget
+	DegradedErrors  int64 // mutations refused with ERR DEGRADED (read-only device)
+	WriteErrors     int64 // SET/DEL/COMMIT refused with any other reply
+	ReadErrors      int64 // GET answered ERR
+	DataErrors      int64 // wrong value or wrong presence — integrity violation
 }
 
 // Merge adds o into r.
 func (r *Report) Merge(o Report) {
 	r.Cycles += o.Cycles
 	r.Retries += o.Retries
+	r.TransportErrors += o.TransportErrors
+	r.DegradedErrors += o.DegradedErrors
 	r.WriteErrors += o.WriteErrors
 	r.ReadErrors += o.ReadErrors
 	r.DataErrors += o.DataErrors
@@ -76,12 +68,30 @@ func (r *Report) Merge(o Report) {
 // Failed reports whether the run saw any error at all. Recovered
 // retries are not failures: the command went through.
 func (r *Report) Failed() bool {
-	return r.WriteErrors+r.ReadErrors+r.DataErrors > 0
+	return r.TransportErrors+r.DegradedErrors+r.WriteErrors+r.ReadErrors+r.DataErrors > 0
 }
 
 func (r Report) String() string {
-	return fmt.Sprintf("cycles=%d retries=%d writeErrs=%d readErrs=%d dataErrs=%d",
-		r.Cycles, r.Retries, r.WriteErrors, r.ReadErrors, r.DataErrors)
+	return fmt.Sprintf("cycles=%d retries=%d transportErrs=%d degradedErrs=%d writeErrs=%d readErrs=%d dataErrs=%d",
+		r.Cycles, r.Retries, r.TransportErrors, r.DegradedErrors, r.WriteErrors, r.ReadErrors, r.DataErrors)
+}
+
+// countFailure classifies one round trip of a write (USE/SET/DEL/COMMIT) or a
+// read (GET) and counts a failure in its own counter.
+func (r *Report) countFailure(resp string, err error, write bool) bool {
+	switch {
+	case err != nil:
+		r.TransportErrors++
+	case strings.HasPrefix(resp, "ERR DEGRADED"):
+		r.DegradedErrors++
+	case strings.HasPrefix(resp, "ERR") && write:
+		r.WriteErrors++
+	case strings.HasPrefix(resp, "ERR"):
+		r.ReadErrors++
+	default:
+		return false
+	}
+	return true
 }
 
 // Run starts a server, drives it with Config.Workers concurrent workers,
@@ -114,171 +124,78 @@ func Run(cfg Config) (Report, error) {
 	return total, nil
 }
 
-// rconn is a worker's retrying connection: one round-trip at a time,
-// with transparent redial + re-USE + replay on transport errors.
-type rconn struct {
-	addr    string
-	tenant  string // re-issued as USE after every redial, once set
-	conn    net.Conn
-	r       *bufio.Reader
-	rng     *rand.Rand // backoff jitter only, separate from the op mix
-	retries *int64
-	// retriedLast reports whether the last successful do() replayed the
-	// command on a fresh connection. The first attempt may or may not
-	// have been applied before the transport died, so non-idempotent
-	// callers (DEL) must not hold the reply against their model.
-	retriedLast bool
-}
-
-func (c *rconn) redial() error {
-	conn, err := net.Dial("tcp", c.addr)
-	if err != nil {
-		return err
-	}
-	r := bufio.NewReader(conn)
-	if c.tenant != "" {
-		if _, err := fmt.Fprintf(conn, "USE %s\n", c.tenant); err != nil {
-			conn.Close()
-			return err
-		}
-		resp, err := r.ReadString('\n')
-		if err != nil {
-			conn.Close()
-			return err
-		}
-		if strings.TrimRight(resp, "\n") != "OK" {
-			conn.Close()
-			return fmt.Errorf("re-USE %s: %s", c.tenant, resp)
-		}
-	}
-	c.conn, c.r = conn, r
-	return nil
-}
-
-func (c *rconn) roundTrip(line string) (string, error) {
-	if _, err := fmt.Fprintf(c.conn, "%s\n", line); err != nil {
-		return "", err
-	}
-	resp, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(resp, "\n"), nil
-}
-
-// do sends one command and reads its reply, retrying transport errors
-// with bounded exponential backoff (base 2ms doubling, plus seeded
-// jitter). Server-level ERR replies are returned to the caller — only
-// the transport is retried.
-func (c *rconn) do(line string) (string, bool) {
-	c.retriedLast = false
-	for attempt := 0; ; attempt++ {
-		if c.conn == nil {
-			if err := c.redial(); err != nil {
-				if attempt >= retryMax {
-					return "", false
-				}
-				c.backoff(attempt)
-				continue
-			}
-		}
-		resp, err := c.roundTrip(line)
-		if err == nil {
-			c.retriedLast = attempt > 0
-			return resp, true
-		}
-		c.conn.Close()
-		c.conn = nil
-		if attempt >= retryMax {
-			return "", false
-		}
-		c.backoff(attempt)
-	}
-}
-
-func (c *rconn) backoff(attempt int) {
-	*c.retries++
-	d := retryBase << attempt
-	d += time.Duration(c.rng.Int63n(int64(retryBase)))
-	time.Sleep(d)
-}
-
-func (c *rconn) close() {
-	if c.conn != nil {
-		c.conn.Close()
-	}
-}
-
 // worker runs one connection's op mix: 50% set, 30% verified get, 10%
 // delete, 10% commit. It mirrors every mutation in a local model keyed by
 // its own disjoint key range, so a get either matches the model exactly
 // or counts a DataError.
-func worker(addr string, w int, cfg Config) Report {
-	var rep Report
-	cl := &rconn{
-		addr:    addr,
-		rng:     rand.New(rand.NewSource(cfg.Seed + int64(w) + 1<<32)),
-		retries: &rep.Retries,
-	}
-	defer cl.close()
-	do := cl.do
+func worker(addr string, w int, cfg Config) (rep Report) {
+	cl := server.NewClient(addr, cfg.Seed+int64(w)+1<<32)
+	defer func() {
+		rep.Retries = int64(cl.Retries())
+		cl.Close()
+	}()
 
-	tenant := fmt.Sprintf("tenant%d", w%cfg.Tenants)
-	if resp, ok := do("USE " + tenant); !ok || resp != "OK" {
-		rep.WriteErrors++
+	// mutate holds a reply whose only good form is OK against that.
+	mutate := func(resp string, err error) bool {
+		if rep.countFailure(resp, err, true) {
+			return false
+		}
+		if resp != "OK" {
+			rep.WriteErrors++
+		}
+		return resp == "OK"
+	}
+	if !mutate(cl.Use(fmt.Sprintf("tenant%d", w%cfg.Tenants))) {
 		return rep
 	}
-	cl.tenant = tenant // redials re-select the tenant from here on
 
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(w)))
 	model := make(map[string]string, cfg.Keys) // key -> value; absent = deleted/never set
 	key := func(i int) string { return fmt.Sprintf("w%dk%d", w, i) }
+	// get reads k and holds the reply against the model.
+	get := func(k string) bool {
+		resp, _, err := cl.Do("GET " + k)
+		if rep.countFailure(resp, err, false) {
+			return false
+		}
+		want, exists := model[k]
+		if exists != (resp != "NIL") || (exists && resp != "VAL "+want) {
+			rep.DataErrors++
+			return false
+		}
+		return true
+	}
 
 	for c := 0; c < cfg.Cycles; c++ {
 		k := key(rng.Intn(cfg.Keys))
 		switch op := rng.Intn(10); {
 		case op < 5: // set
 			v := fmt.Sprintf("v%d-%d", w, c)
-			if resp, ok := do(fmt.Sprintf("SET %s %s", k, v)); !ok || resp != "OK" {
-				rep.WriteErrors++
+			resp, _, err := cl.Do(fmt.Sprintf("SET %s %s", k, v))
+			if !mutate(resp, err) {
 				continue
 			}
 			model[k] = v
 		case op < 8: // get + verify
-			resp, ok := do("GET " + k)
-			if !ok || strings.HasPrefix(resp, "ERR") {
-				rep.ReadErrors++
-				continue
-			}
-			want, exists := model[k]
-			switch {
-			case resp == "NIL" && exists:
-				rep.DataErrors++
-				continue
-			case resp != "NIL" && !exists:
-				rep.DataErrors++
-				continue
-			case resp != "NIL" && resp != "VAL "+want:
-				rep.DataErrors++
+			if !get(k) {
 				continue
 			}
 		case op < 9: // delete
-			resp, ok := do("DEL " + k)
-			if !ok || strings.HasPrefix(resp, "ERR") {
-				rep.WriteErrors++
+			resp, retried, err := cl.Do("DEL " + k)
+			if rep.countFailure(resp, err, true) {
 				continue
 			}
 			_, exists := model[k]
 			// A replayed DEL may answer NIL because the first attempt
 			// landed before the transport died; either way the key is gone.
-			if !cl.retriedLast && (resp == "OK") != exists {
+			if !retried && (resp == "OK") != exists {
 				rep.DataErrors++
 				continue
 			}
 			delete(model, k)
 		default: // commit
-			if resp, ok := do("COMMIT"); !ok || resp != "OK" {
-				rep.WriteErrors++
+			resp, _, err := cl.Do("COMMIT")
+			if !mutate(resp, err) {
 				continue
 			}
 		}
@@ -287,17 +204,8 @@ func worker(addr string, w int, cfg Config) Report {
 
 	// Final sweep: every key must match the model exactly.
 	for i := 0; i < cfg.Keys; i++ {
-		k := key(i)
-		resp, ok := do("GET " + k)
-		if !ok || strings.HasPrefix(resp, "ERR") {
-			rep.ReadErrors++
-			continue
-		}
-		want, exists := model[k]
-		if exists != (resp != "NIL") || (exists && resp != "VAL "+want) {
-			rep.DataErrors++
-		}
+		get(key(i))
 	}
-	do("QUIT")
+	cl.Do("QUIT")
 	return rep
 }

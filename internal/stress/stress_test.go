@@ -1,8 +1,12 @@
 package stress
 
 import (
+	"bufio"
+	"fmt"
 	"io"
 	"net"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -140,16 +144,134 @@ func TestStressRetryBudgetExhausts(t *testing.T) {
 	if !rep.Failed() {
 		t.Fatal("dead transport did not surface as an error")
 	}
-	if rep.Retries != retryMax {
-		t.Fatalf("retries = %d, want exactly the budget %d", rep.Retries, retryMax)
+	if rep.Retries != server.RetryMax {
+		t.Fatalf("retries = %d, want exactly the budget %d", rep.Retries, server.RetryMax)
+	}
+}
+
+// scriptedServer is a faithful in-memory stand-in for shareserver that
+// misbehaves exactly once per error class: the 3rd SET is refused with a
+// plain ERR, the 6th with ERR DEGRADED, the 2nd GET answers a wrong
+// value, the 7th an ERR, and the 5th GET kills the connection and every
+// redial until the client's retry budget is spent. A refused or dropped command is not
+// applied, so everything else the worker reads still matches its model.
+func scriptedServer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var (
+		mu         sync.Mutex
+		data       = map[string]string{}
+		sets, gets int
+		drops      int
+	)
+	// reply answers one command; ok=false kills the connection instead.
+	reply := func(line string) (resp string, ok bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		cmd, rest, _ := strings.Cut(line, " ")
+		switch cmd {
+		case "SET":
+			sets++
+			if sets == 3 {
+				return "ERR boom", true
+			}
+			if sets == 6 {
+				return "ERR DEGRADED device is read-only", true
+			}
+			k, v, _ := strings.Cut(rest, " ")
+			data[k] = v
+		case "GET":
+			gets++
+			if gets == 2 {
+				return "VAL bogus", true
+			}
+			if gets == 5 {
+				drops = server.RetryMax
+				return "", false
+			}
+			if gets == 7 {
+				return "ERR read failed", true
+			}
+			if v, found := data[rest]; found {
+				return "VAL " + v, true
+			}
+			return "NIL", true
+		case "DEL":
+			if _, found := data[rest]; !found {
+				return "NIL", true
+			}
+			delete(data, rest)
+		}
+		return "OK", true // USE, COMMIT, QUIT, and the applied SET/DEL
+	}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			drop := drops > 0
+			if drop {
+				drops--
+			}
+			mu.Unlock()
+			if drop {
+				conn.Close()
+				continue
+			}
+			go func() {
+				defer conn.Close()
+				r := bufio.NewReader(conn)
+				for {
+					line, err := r.ReadString('\n')
+					if err != nil {
+						return
+					}
+					resp, ok := reply(strings.TrimRight(line, "\n"))
+					if !ok {
+						return
+					}
+					fmt.Fprintf(conn, "%s\n", resp)
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestStressErrorAccounting injects one failure of each class — a
+// transport that stays dead past the retry budget, a plain ERR on a
+// write and on a read, an ERR DEGRADED and a wrong value — and requires each to land in its own
+// Report counter: none folded into another (the DataErrors += ReadErrors
+// bug class) and none absorbed by the retry path as a mere retry.
+func TestStressErrorAccounting(t *testing.T) {
+	cfg := Config{Workers: 1, Tenants: 1, Cycles: 60, Keys: 8, Seed: 5}
+	rep := worker(scriptedServer(t), 0, cfg)
+	t.Log(rep)
+	want := Report{
+		Cycles:          int64(cfg.Cycles) - 5, // each injected failure costs its cycle
+		Retries:         server.RetryMax,
+		TransportErrors: 1,
+		DegradedErrors:  1,
+		WriteErrors:     1,
+		ReadErrors:      1,
+		DataErrors:      1,
+	}
+	if rep != want {
+		t.Fatalf("report = %+v\nwant     %+v", rep, want)
 	}
 }
 
 // TestReportMerge pins the accounting arithmetic.
 func TestReportMerge(t *testing.T) {
-	a := Report{Cycles: 10, WriteErrors: 1}
-	a.Merge(Report{Cycles: 5, ReadErrors: 2, DataErrors: 3})
-	want := Report{Cycles: 15, WriteErrors: 1, ReadErrors: 2, DataErrors: 3}
+	a := Report{Cycles: 10, WriteErrors: 1, TransportErrors: 4}
+	a.Merge(Report{Cycles: 5, ReadErrors: 2, DataErrors: 3, DegradedErrors: 5, Retries: 6})
+	want := Report{Cycles: 15, WriteErrors: 1, ReadErrors: 2, DataErrors: 3, TransportErrors: 4, DegradedErrors: 5, Retries: 6}
 	if a != want {
 		t.Fatalf("merge = %+v, want %+v", a, want)
 	}
