@@ -5,7 +5,7 @@ GO ?= go
 # CI run by exporting the seed it printed: CRASHCHECK_SEED=<n> make fuzz-crash
 CRASHCHECK_SEED ?= 1
 
-.PHONY: build test check race bench bench-cache bench-json bench-module bench-scale bench-soak bench-streams bench-tenants bench-writepath profile fuzz-crash fmt loc
+.PHONY: build test check race bench bench-cache bench-json bench-device bench-module bench-soak bench-tenants profile fuzz-crash fmt loc
 
 build:
 	$(GO) build ./...
@@ -25,11 +25,9 @@ check:
 	$(MAKE) fuzz-crash
 	$(MAKE) bench-module
 	$(MAKE) bench-json
-	$(MAKE) bench-scale
+	$(MAKE) bench-device
 	$(MAKE) bench-soak
-	$(MAKE) bench-streams
 	$(MAKE) bench-tenants
-	$(MAKE) bench-writepath
 	$(MAKE) bench-cache
 
 # fuzz-crash runs the whole-stack crash harness (internal/crashcheck) in
@@ -74,11 +72,14 @@ bench:
 bench-json:
 	$(GO) run ./cmd/sharebench -exp smoke -json -outdir .
 
-# bench-scale sweeps channel count x queue depth on die-scheduled arrays
-# and writes BENCH_scale.json with per-die utilization telemetry; the
-# speedup_c4_over_c1_qd8 metric is the parallelism regression anchor.
-bench-scale:
-	$(GO) run ./cmd/sharebench -exp scale -json -outdir .
+# bench-device sweeps channels x queue depth x IO size x placement
+# (legacy / host stream hints / auto-stream) over aged die-scheduled
+# devices and writes BENCH_device.json with per-die telemetry. Its
+# regression anchors, pinned by TestDeviceSweep: speedup_c4_over_c1_qd8
+# (die parallelism), wa_reduction_* and copyback_reduction_* (write
+# placement at single-page writes) and the winner_s*_qd* crossover map.
+bench-device:
+	$(GO) run ./cmd/sharebench -exp device -json -outdir .
 
 # bench-soak ages a device through several drive-writes on endogenously
 # decaying media (read disturb + retention + wear) with and without the
@@ -88,15 +89,6 @@ bench-scale:
 bench-soak:
 	$(GO) run ./cmd/sharebench -exp soak -json -outdir .
 
-# bench-streams ages three identical 4-channel devices under zipfian
-# updates — hints off, explicit hot/cold host hints, auto-stream
-# classifier — plus a couch-on-fsim whole-stack leg, and writes
-# BENCH_streams.json; the wa_reduction_* and copyback_reduction_*
-# metrics are the write-placement regression anchors, pinned by
-# TestStreamsWAReduction.
-bench-streams:
-	$(GO) run ./cmd/sharebench -exp streams -json -outdir .
-
 # bench-tenants sweeps client count x tenant count over per-tenant couch
 # stores on a 4-channel device behind fair-share admission and writes
 # BENCH_tenants.json; speedup_t4_c8_over_c1 (client scaling) and
@@ -104,14 +96,6 @@ bench-streams:
 # regression anchors, pinned by TestTenantsScaling.
 bench-tenants:
 	$(GO) run ./cmd/sharebench -exp tenants -json -outdir .
-
-# bench-writepath sweeps IO size x queue depth x placement strategy
-# (legacy / host stream hints / auto-stream) on aged 4-channel devices and
-# writes BENCH_writepath.json; the winner_s*_qd* crossover-map metrics pin
-# which strategy wins each cell, and TestWritepathJSONDeterministic pins
-# byte-identical reports.
-bench-writepath:
-	$(GO) run ./cmd/sharebench -exp writepath -json -outdir .
 
 # bench-cache compares the flash-extended buffer cache tier against the
 # no-cache baseline (steady-state throughput and hit rate) and measures
@@ -122,13 +106,13 @@ bench-writepath:
 bench-cache:
 	$(GO) run ./cmd/sharebench -exp cache -json -outdir .
 
-# profile runs the scale experiment at 20x op count with CPU and
+# profile runs the device sweep at 20x pages per cell with CPU and
 # allocation profiling; inspect with `go tool pprof cpu.pprof`. The
 # op-count multiplier keeps the measured loop hot long enough for a
 # useful sample without changing device geometry or aging.
 PROFILE_OPSCALE ?= 20
 profile:
-	$(GO) run ./cmd/sharebench -exp scale -opscale $(PROFILE_OPSCALE) \
+	$(GO) run ./cmd/sharebench -exp device -opscale $(PROFILE_OPSCALE) \
 		-cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof mem.pprof — inspect with: $(GO) tool pprof cpu.pprof"
 

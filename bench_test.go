@@ -101,10 +101,9 @@ func BenchmarkAblationYCSBAll(b *testing.B) { runExperiment(b, "abl-ycsb") }
 // `make bench-json`.
 func BenchmarkSmoke(b *testing.B) { runExperiment(b, "smoke") }
 
-// BenchmarkStreams runs the multi-stream write-placement comparison
-// behind `make bench-streams` (hints off vs on vs auto under zipfian
-// aging, plus the couch whole-stack leg).
-func BenchmarkStreams(b *testing.B) { runExperiment(b, "streams") }
+// BenchmarkDevice runs the device sweep behind `make bench-device`
+// (channels x queue depth x IO size x placement on aged devices).
+func BenchmarkDevice(b *testing.B) { runExperiment(b, "device") }
 
 // BenchmarkCache runs the flash-extended buffer cache comparison behind
 // `make bench-cache` (steady-state gain over the no-cache baseline, plus

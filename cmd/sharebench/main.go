@@ -8,7 +8,7 @@
 //	sharebench -exp fig5b [-scale 0.05] [-seed 42]
 //	sharebench -all [-scale 0.02]
 //	sharebench -exp smoke -json [-outdir results]
-//	sharebench -exp scale -opscale 100 -cpuprofile cpu.pprof -memprofile mem.pprof
+//	sharebench -exp device -opscale 100 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Scale 1 corresponds to the paper's sizes (4 GiB OpenSSD, 1.5 GiB
 // LinkBench database, 250k×4 KiB YCSB documents); the default keeps runs
@@ -40,7 +40,7 @@ func main() {
 		exp     = flag.String("exp", "", "experiment id to run")
 		all     = flag.Bool("all", false, "run every experiment")
 		scale   = flag.Float64("scale", 0, "size multiplier vs the paper's setup (default 0.02)")
-		opScale = flag.Int("opscale", 1, "op-count multiplier for fixed-size experiments (scale): 10-100 for profiling runs")
+		opScale = flag.Int("opscale", 1, "op-count multiplier for fixed-size experiments (device): 10-100 for profiling runs")
 		seed    = flag.Int64("seed", 0, "random seed (default 42)")
 		asJSON  = flag.Bool("json", false, "also write BENCH_<id>.json for each experiment")
 		outdir  = flag.String("outdir", ".", "directory for -json output files")

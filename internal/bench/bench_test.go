@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -11,7 +10,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig5a", "fig5b", "fig6", "table1", "fig7", "fig8", "table2",
 		"pgfpw", "abl-sharetable", "abl-batch", "abl-op", "abl-atomic", "abl-sqlite", "abl-queue", "abl-ycsb",
-		"smoke", "scale", "soak", "streams", "tenants", "writepath", "cache",
+		"smoke", "soak", "tenants", "device", "cache",
 	}
 	for _, id := range want {
 		if _, err := Get(id); err != nil {
@@ -75,48 +74,6 @@ func TestExperimentsRunTiny(t *testing.T) {
 	}
 }
 
-// TestScaleSpeedup is the acceptance check for die-level parallelism:
-// the scale experiment must show the 4-channel array at least doubling
-// 1-channel throughput at queue depth 8, with die telemetry attached to
-// the deepest sweep points.
-func TestScaleSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs 15 sweep points; skipped in -short")
-	}
-	e, err := Get("scale")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, rep, err := e.RunWithReport(Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "speedup") {
-		t.Fatalf("output missing speedup row:\n%s", out)
-	}
-	metrics := map[string]float64{}
-	for _, m := range rep.Metrics {
-		metrics[m.Name] = m.Value
-	}
-	if sp := metrics["speedup_c4_over_c1_qd8"]; sp < 2 {
-		t.Fatalf("4-channel speedup %.2fx < 2x at qd=8\n%s", sp, out)
-	}
-	var withDies int
-	for _, d := range rep.Devices {
-		if len(d.Dies) > 0 {
-			withDies++
-			for _, ds := range d.Dies {
-				if ds.BusyNs <= 0 {
-					t.Fatalf("device %s die %d idle: %+v", d.Label, ds.Die, ds)
-				}
-			}
-		}
-	}
-	if withDies != 3 {
-		t.Fatalf("%d device reports carry die telemetry, want 3", withDies)
-	}
-}
-
 // TestTenantsScaling is the acceptance check for concurrent multi-tenant
 // serving: at 4 tenants, adding clients must keep raising throughput
 // (at least 2x going from 1 to 8 clients), per-tenant fair-share billing
@@ -153,63 +110,6 @@ func TestTenantsScaling(t *testing.T) {
 		if ds.BusyNs <= 0 {
 			t.Fatalf("die %d idle at t4/c8: %+v", ds.Die, ds)
 		}
-	}
-}
-
-// TestStreamsWAReduction is the acceptance check for multi-stream write
-// placement: under zipfian aging on the 4-channel geometry, explicit
-// host hints and the auto-stream classifier must both reduce GC
-// copybacks and measured write amplification versus the single-stream
-// baseline, and the couch whole-stack leg must show engine hints
-// actually steering pages into the second stream.
-func TestStreamsWAReduction(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ages three devices; skipped in -short")
-	}
-	e, err := Get("streams")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, rep, err := e.RunWithReport(Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics := map[string]float64{}
-	for _, m := range rep.Metrics {
-		metrics[m.Name] = m.Value
-	}
-	// The run is deterministic for fixed Params, so these floors are well
-	// below the measured reductions (~7-18%) yet still catch a placement
-	// or accounting regression that erases the benefit.
-	for _, mode := range []string{"hints", "auto"} {
-		if red := metrics["wa_reduction_"+mode]; red < 0.03 {
-			t.Errorf("%s: WA reduction %.3f < 0.03 vs hints-off\n%s", mode, red, out)
-		}
-		if red := metrics["copyback_reduction_"+mode]; red < 0.05 {
-			t.Errorf("%s: copyback reduction %.3f < 0.05 vs hints-off\n%s", mode, red, out)
-		}
-		// Both streams must carry traffic — a dead stream means the
-		// classifier or the hint plumbing collapsed to single-stream.
-		for s := 0; s < 2; s++ {
-			if metrics[fmt.Sprintf("stream%d_writes_%s", s, mode)] <= 0 {
-				t.Errorf("%s: stream %d received no writes\n%s", mode, s, out)
-			}
-		}
-	}
-	// Whole-stack plumbing: with engine hints off every page lands in
-	// stream 0; with hints on, compaction output flows into stream 1.
-	if metrics["couch_stream1_writes_off"] != 0 {
-		t.Errorf("couch hints-off wrote %v pages to stream 1", metrics["couch_stream1_writes_off"])
-	}
-	if metrics["couch_stream1_writes_on"] <= 0 {
-		t.Errorf("couch hints-on steered no pages into stream 1\n%s", out)
-	}
-	// The hints leg carries full device telemetry for the report.
-	if len(rep.Devices) != 1 || rep.Devices[0].Label != "hints" {
-		t.Fatalf("want one device report labeled hints, got %+v", rep.Devices)
-	}
-	if len(rep.Devices[0].FTL.StreamWrites) != 2 {
-		t.Fatalf("hints device report missing per-stream counters: %+v", rep.Devices[0].FTL)
 	}
 }
 

@@ -3,6 +3,9 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -116,41 +119,6 @@ func TestLegacyReportsOmitStreamCounters(t *testing.T) {
 	}
 }
 
-// TestStreamsJSONDeterministic: the streams report must be reproducible
-// byte for byte (CI regenerates BENCH_streams.json and diffs it), and the
-// hints device telemetry must carry the per-stream counters the legacy
-// reports omit.
-func TestStreamsJSONDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ages three devices, twice; skipped in -short")
-	}
-	e, err := Get("streams")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() []byte {
-		_, rep, err := e.RunWithReport(Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := rep.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ValidateReportJSON(data); err != nil {
-			t.Fatalf("invalid report: %v\n%s", err, data)
-		}
-		return data
-	}
-	a, b := run(), run()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("identically-seeded streams runs differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)
-	}
-	if !bytes.Contains(a, []byte("StreamWrites")) {
-		t.Fatalf("streams report missing per-stream counters:\n%s", a)
-	}
-}
-
 func TestValidateReportJSON(t *testing.T) {
 	if err := ValidateReportJSON([]byte("{")); err == nil {
 		t.Fatal("accepted malformed JSON")
@@ -168,5 +136,40 @@ func TestValidateReportJSON(t *testing.T) {
 	}
 	if err := ValidateReportJSON(data); err != nil {
 		t.Fatalf("rejected valid report: %v", err)
+	}
+}
+
+// TestFixturesNameRegisteredExperiments: every BENCH_*.json checked in at
+// the repository root is a valid report of the registered experiment its
+// file name carries, so deleting or renaming an experiment cannot leave
+// an orphan fixture behind.
+func TestFixturesNameRegisteredExperiments(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no BENCH_*.json fixtures found at the repository root")
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ValidateReportJSON(data); err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		var rep Report
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatal(err)
+		}
+		id := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_"), ".json")
+		if rep.Experiment != id {
+			t.Errorf("%s: experiment %q, want %q from its file name", path, rep.Experiment, id)
+		}
+		if _, err := Get(id); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
 	}
 }

@@ -24,9 +24,10 @@ type Params struct {
 	Scale float64
 	Seed  int64
 	// OpScale multiplies the operation counts of throughput-style
-	// experiments (currently the scale sweep) without touching device
-	// sizes: OpScale=10 issues 10× the writes against the same geometry,
-	// for profiling and soak-style stress at 10–100× the default volume.
+	// experiments (currently the device sweep's pages per cell) without
+	// touching device sizes: OpScale=10 issues 10× the writes against the
+	// same geometry, for profiling and soak-style stress at 10–100× the
+	// default volume.
 	OpScale int
 }
 

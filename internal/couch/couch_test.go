@@ -813,3 +813,54 @@ func TestScanOrderedRange(t *testing.T) {
 		t.Fatalf("early stop scanned %d", n)
 	}
 }
+
+// TestStreamHintsSteerCompaction checks the engine → fsim → device hint
+// plumbing on a two-stream device: with StreamHints off every host page
+// lands in stream 0; with hints on, compaction output flows into stream 1.
+func TestStreamHintsSteerCompaction(t *testing.T) {
+	for _, hints := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hints=%v", hints), func(t *testing.T) {
+			cfg := ssd.DefaultConfig(1024)
+			cfg.Geometry.PageSize = 512
+			cfg.Geometry.PagesPerBlock = 32
+			cfg.FTL.HostStreams = 2
+			dev, err := ssd.New("couch-streams", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			task := sim.NewSoloTask("t")
+			fs, err := fsim.Format(task, dev, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(task, fs, Config{BatchSize: 1, StreamHints: hints})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i == 0 || !s.NeedsCompaction(); i++ {
+				if err := s.Set(task, []byte(fmt.Sprintf("user%04d", i%50)), val(i, 600)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := s.Compact(task); err != nil {
+				t.Fatal(err)
+			}
+			if n := s.Stats().Compactions; n != 1 {
+				t.Fatalf("%d compactions, want 1", n)
+			}
+			sw := dev.Stats().FTL.StreamWrites
+			if len(sw) != 2 {
+				t.Fatalf("stream counters %v, want two streams", sw)
+			}
+			if !hints && sw[1] != 0 {
+				t.Fatalf("hints off wrote %d pages to stream 1", sw[1])
+			}
+			if hints && sw[1] <= 0 {
+				t.Fatalf("hints on steered no compaction pages into stream 1 (streams %v)", sw)
+			}
+			if sw[0] <= 0 {
+				t.Fatalf("append log wrote no pages to stream 0 (streams %v)", sw)
+			}
+		})
+	}
+}
