@@ -75,7 +75,8 @@ bench-json:
 # bench-device sweeps channels x queue depth x IO size x placement
 # (legacy / host stream hints / auto-stream) over aged die-scheduled
 # devices and writes BENCH_device.json with per-die telemetry. Its
-# regression anchors, pinned by TestDeviceSweep: speedup_c4_over_c1_qd8
+# regression anchors, pinned by TestScaleSpeedup, TestStreamsWAReduction
+# and TestWritepathJSONDeterministic: speedup_c4_over_c1_qd8
 # (die parallelism), wa_reduction_* and copyback_reduction_* (write
 # placement at single-page writes) and the winner_s*_qd* crossover map.
 bench-device:
