@@ -180,6 +180,9 @@ type deviceResult struct {
 
 func runDevice(p Params, r *Report) (string, error) {
 	p.setDefaults()
+	if p.OpScale > 1 {
+		r.Config.OpScale = p.OpScale
+	}
 	// Cells in prototype order: the parallelism rows, then the crossover
 	// grid per placement, so each prototype is aged once and dropped
 	// before the next. The legacy 4-channel size-1 cells sit in both.

@@ -119,6 +119,19 @@ func TestLegacyReportsOmitStreamCounters(t *testing.T) {
 	}
 }
 
+// TestReportOmitsUnreadOpScale: only the experiments that read
+// Params.OpScale record it, so a smoke run asked for -opscale 5 (which it
+// ignores) must not claim op_scale 5 in its provenance.
+func TestReportOmitsUnreadOpScale(t *testing.T) {
+	e, err := Get("smoke")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := NewReport(e, Params{Scale: 0.01, Seed: 7, OpScale: 5}).Config.OpScale; got != 0 {
+		t.Fatalf("smoke report records op_scale %d for a run that ignores it", got)
+	}
+}
+
 func TestValidateReportJSON(t *testing.T) {
 	if err := ValidateReportJSON([]byte("{")); err == nil {
 		t.Fatal("accepted malformed JSON")

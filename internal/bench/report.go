@@ -27,8 +27,9 @@ type Metric struct {
 type ConfigInfo struct {
 	Scale float64 `json:"scale"`
 	Seed  int64   `json:"seed"`
-	// OpScale is recorded only when it departs from the default of 1, so
-	// default-run reports stay byte-identical to their pinned fixtures.
+	// OpScale is recorded by the experiments that read Params.OpScale,
+	// and only when it departs from the default of 1, so default-run
+	// reports stay byte-identical to their pinned fixtures.
 	OpScale int `json:"op_scale,omitempty"`
 }
 
@@ -89,15 +90,11 @@ type Report struct {
 // applied first so the recorded provenance matches what actually ran.
 func NewReport(e Experiment, p Params) *Report {
 	p.setDefaults()
-	c := ConfigInfo{Scale: p.Scale, Seed: p.Seed}
-	if p.OpScale > 1 {
-		c.OpScale = p.OpScale
-	}
 	return &Report{
 		Schema:     ReportSchema,
 		Experiment: e.ID,
 		Title:      e.Title,
-		Config:     c,
+		Config:     ConfigInfo{Scale: p.Scale, Seed: p.Seed},
 	}
 }
 

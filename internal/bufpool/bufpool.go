@@ -22,11 +22,9 @@ type Flusher interface {
 	FlushBatch(t *sim.Task, pages []PageImage) error
 }
 
-// PageImage is one dirty page handed to the Flusher.
-type PageImage struct {
-	PageNo uint32
-	Data   []byte // owned by the pool frame; flushers must not retain it
-}
+// PageImage is one dirty page handed to the Flusher. Its Data is owned
+// by the pool frame; flushers must not retain it.
+type PageImage = fsim.PageImage
 
 // Frame is a pinned page in the pool. Callers mutate Data in place and
 // call MarkDirty, then Release.

@@ -48,6 +48,49 @@ func (fs *FS) ShareRange(t *sim.Task, dst *File, dstOff int64, src *File, srcOff
 	return fs.ShareVec(t, []ShareSeg{{Dst: dst, DstOff: dstOff, Src: src, SrcOff: srcOff, Len: length}})
 }
 
+// PageImage is one engine page bound for its home in a file: the page
+// lives at PageNo × len(Data).
+type PageImage struct {
+	PageNo uint32
+	Data   []byte // owned by the caller; StageShare does not retain it
+}
+
+// StageShare installs pages at their homes in f without writing f: page i
+// is written once into slot i of stage, stage is fsynced, and one ShareVec
+// remaps every home onto its slot (§4.2, §5.1). The SHARE commands are
+// durable on return, so f needs no fsync. A batch larger than the stage
+// area (stage.Size() / len(Data) slots) goes in consecutive loads, each
+// atomic on its own, so callers needing one atomic batch must bound it by
+// the slot count.
+func (f *File) StageShare(t *sim.Task, stage *File, pages []PageImage) error {
+	if len(pages) == 0 {
+		return nil
+	}
+	ps := int64(len(pages[0].Data))
+	if ps == 0 || stage.Size() < ps {
+		return fmt.Errorf("fsim: stage area %q (%d bytes) holds no %d-byte page", stage.name, stage.Size(), ps)
+	}
+	slots := int(stage.Size() / ps)
+	for len(pages) > 0 {
+		load := pages[:min(len(pages), slots)]
+		pages = pages[len(load):]
+		segs := make([]ShareSeg, len(load))
+		for i, pg := range load {
+			if _, err := stage.WriteAt(t, pg.Data, int64(i)*ps); err != nil {
+				return err
+			}
+			segs[i] = ShareSeg{Dst: f, DstOff: int64(pg.PageNo) * ps, Src: stage, SrcOff: int64(i) * ps, Len: ps}
+		}
+		if err := stage.Sync(t); err != nil {
+			return err
+		}
+		if err := f.fs.ShareVec(t, segs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // sharePairs translates segments to device pairs. Latch held.
 func (fs *FS) sharePairs(segs []ShareSeg) ([]ssd.Pair, error) {
 	var pairs []ssd.Pair

@@ -9,17 +9,17 @@
 //	DWBOff      — pages go straight to their home locations (fast but
 //	              exposed to torn pages);
 //	Share       — the paper's mode: the batch is written once to the
-//	              doublewrite buffer, then SHARE remaps every home page
-//	              onto the just-written copy, eliminating the second
-//	              write (§4.3);
+//	              doublewrite buffer's slots (no header page), then SHARE
+//	              remaps every home page onto the just-written copy,
+//	              eliminating the second write (§4.3);
 //	AtomicWrite — the §6.1 related-work baseline: one atomic multi-page
 //	              write command, no doublewrite area at all.
 //
 // Crash recovery restores torn pages from the doublewrite buffer (by
-// checksum), then replays committed redo records. Redo uses page images
-// logged at commit time — physically simpler than InnoDB's physiological
-// records but recovery-equivalent; the log lives on its own fast device,
-// as in the paper's experimental setup.
+// checksum, DWB-On only), then replays committed redo records. Redo uses
+// page images logged at commit time — physically simpler than InnoDB's
+// physiological records but recovery-equivalent; the log lives on its own
+// fast device, as in the paper's experimental setup.
 package innodb
 
 import (

@@ -9,7 +9,6 @@ import (
 	"share/internal/btree"
 	"share/internal/bufpool"
 	"share/internal/extcache"
-	"share/internal/fsim"
 	"share/internal/sim"
 	"share/internal/ssd"
 )
@@ -50,8 +49,11 @@ func (fl *flusher) FlushBatch(t *sim.Task, pages []bufpool.PageImage) error {
 			err = fl.writeHome(t, pages, true)
 		}
 	case Share:
-		if err = fl.writeDWB(t, pages); err == nil {
-			err = fl.shareHome(t, pages)
+		// Write once into the DWB file's slots and remap the homes (§4.2):
+		// a SHARE'd home is never written in place, so it needs no header.
+		if err = e.file.StageShare(t, e.dwb, pages); err == nil {
+			atomic.AddInt64(&e.st.PagesToDWB, int64(len(pages)))
+			atomic.AddInt64(&e.st.SharePairs, int64(len(pages)))
 		}
 	case AtomicWrite:
 		err = fl.atomicHome(t, pages)
@@ -238,21 +240,6 @@ func (fl *flusher) writeHome(t *sim.Task, pages []bufpool.PageImage, sync bool) 
 		return e.file.Sync(t)
 	}
 	return nil
-}
-
-// shareHome installs the batch at its home locations without writing: the
-// home pages are remapped onto the doublewrite copies by one vectored SHARE
-// ioctl. When it returns, the mapping change is durable (§4.2.2), so no
-// further fsync of the tablespace is needed.
-func (fl *flusher) shareHome(t *sim.Task, pages []bufpool.PageImage) error {
-	e := fl.e
-	ps := int64(e.cfg.PageSize)
-	segs := make([]fsim.ShareSeg, len(pages))
-	for i, pg := range pages {
-		segs[i] = fsim.ShareSeg{Dst: e.file, DstOff: ps * int64(pg.PageNo), Src: e.dwb, SrcOff: ps * int64(1+i), Len: ps}
-	}
-	atomic.AddInt64(&e.st.SharePairs, int64(len(pages)))
-	return e.fs.ShareVec(t, segs)
 }
 
 func checksum32(b []byte) uint32 {

@@ -14,23 +14,24 @@ import (
 // recover brings an existing tablespace to a consistent state after a
 // crash (or reopens a clean one — the same path handles both):
 //
-//  1. doublewrite restore: any home page torn by an interrupted flush is
-//     rewritten from its checksum-valid copy in the doublewrite buffer;
+//  1. doublewrite restore (DWB-On only): any home page torn by an
+//     interrupted flush is rewritten from its checksum-valid copy in the
+//     doublewrite buffer;
 //  2. redo replay: page images of committed transactions are written to
 //     their home locations in log order (incomplete trailing transactions
 //     are discarded);
 //  3. a checkpoint truncates the redo log and the table registry is
 //     loaded from the (now consistent) meta page.
 //
-// The doublewrite restore runs only in the modes that write the DWB
-// (DWB-On and SHARE). In a no-DWB configuration the file may still hold a
-// checksum-valid batch from an earlier epoch under a different mode;
-// "restoring" those stale images over homes that the current mode already
-// flushed (or that redo is about to roll forward) would resurrect old
-// data, so the no-DWB path never consults it — and invalidates it, so a
-// later mode switch cannot trip over it either.
+// The doublewrite restore runs only in DWB-On, the one mode that writes
+// homes in place behind a doublewrite header; a SHARE'd home is remapped
+// atomically, never written in place. Any other mode may find a
+// checksum-valid batch from an earlier DWB-On epoch; "restoring" it over
+// homes the current mode already flushed (or redo is about to roll
+// forward) would resurrect old data, so those modes invalidate it instead,
+// and a later switch back to DWB-On cannot trip over it.
 func (e *Engine) recover(t *sim.Task) error {
-	if e.usesDWB() {
+	if e.cfg.FlushMode == DWBOn {
 		if err := e.restoreFromDWB(t); err != nil {
 			return err
 		}
@@ -48,12 +49,6 @@ func (e *Engine) recover(t *sim.Task) error {
 	}
 	e.pool.Drop()
 	return e.loadMeta(t)
-}
-
-// usesDWB reports whether the configured flush mode writes the
-// doublewrite buffer (and hence whether recovery may trust its contents).
-func (e *Engine) usesDWB() bool {
-	return e.cfg.FlushMode == DWBOn || e.cfg.FlushMode == Share
 }
 
 // invalidateDWB zeroes the doublewrite header so stale state from an

@@ -361,25 +361,7 @@ func (fl *pgFlusher) FlushBatch(t *sim.Task, pages []bufpool.PageImage) error {
 	ps := int64(db.cfg.PageSize)
 	atomic.AddInt64(&db.st.DataPagesFlushed, int64(len(pages)))
 	if db.cfg.Mode == FPWShare {
-		// One stage-area load at a time: write the slots, fsync them, remap.
-		for len(pages) > 0 {
-			chunk := pages[:min(len(pages), stageSlots)]
-			pages = pages[len(chunk):]
-			segs := make([]fsim.ShareSeg, len(chunk))
-			for slot, pg := range chunk {
-				if _, err := db.scratch.WriteAt(t, pg.Data, int64(slot)*ps); err != nil {
-					return err
-				}
-				segs[slot] = fsim.ShareSeg{Dst: db.file, DstOff: int64(pg.PageNo) * ps, Src: db.scratch, SrcOff: int64(slot) * ps, Len: ps}
-			}
-			if err := db.scratch.Sync(t); err != nil {
-				return err
-			}
-			if err := db.fs.ShareVec(t, segs); err != nil {
-				return err
-			}
-		}
-		return nil
+		return db.file.StageShare(t, db.scratch, pages)
 	}
 	for _, pg := range pages {
 		if _, err := db.file.WriteAt(t, pg.Data, int64(pg.PageNo)*ps); err != nil {

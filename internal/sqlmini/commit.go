@@ -212,6 +212,8 @@ func (db *DB) commitShare(t *sim.Task, pages []uint32) error {
 	if err := db.file.Allocate(t, 0, ps*int64(maxPage+1)); err != nil {
 		return err
 	}
+	// The dirty set is protected, so its frames' Data stays put meanwhile.
+	images := make([]fsim.PageImage, len(pages))
 	for i, p := range pages {
 		f, err := db.pool.Get(t, p)
 		if err != nil {
@@ -219,24 +221,14 @@ func (db *DB) commitShare(t *sim.Task, pages []uint32) error {
 		}
 		btree.SetPageNo(f.Data, p)
 		btree.SetChecksum(f.Data)
-		if _, err := db.stg.WriteAt(t, f.Data, ps*int64(i)); err != nil {
-			f.Release()
-			return err
-		}
+		images[i] = fsim.PageImage{PageNo: p, Data: f.Data}
 		f.Release()
-		db.st.PagesStaged++
 	}
-	if err := db.stg.Sync(t); err != nil {
+	if err := db.file.StageShare(t, db.stg, images); err != nil {
 		return err
 	}
-	segs := make([]fsim.ShareSeg, len(pages))
-	for i, p := range pages {
-		segs[i] = fsim.ShareSeg{Dst: db.file, DstOff: ps * int64(p), Src: db.stg, SrcOff: ps * int64(i), Len: ps}
-	}
+	db.st.PagesStaged += int64(len(pages))
 	db.st.SharePairs += int64(len(pages))
-	if err := db.fs.ShareVec(t, segs); err != nil {
-		return err
-	}
 	// The staged copies are now redundant aliases; the pool frames are
 	// exactly what the home locations read back.
 	db.pool.CleanAll()
