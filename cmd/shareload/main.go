@@ -33,6 +33,15 @@ type result struct {
 	retries int
 }
 
+// load is one shareload run: clients closed-loop connections to addr,
+// spread round-robin over tenants, each issuing ops commands.
+type load struct {
+	addr             string
+	clients, tenants int
+	ops, valLen      int
+	seed             int64
+}
+
 func main() {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:7379", "shareserver address")
@@ -44,29 +53,63 @@ func main() {
 	)
 	flag.Parse()
 
-	results := make(chan result, *clients)
-	var wg sync.WaitGroup
 	start := time.Now()
-	for cl := 0; cl < *clients; cl++ {
+	perTenant, err := run(load{*addr, *clients, *tenants, *ops, *valLen, *seed})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "shareload:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	elapsed := time.Since(start).Seconds()
+	var total result
+	for _, agg := range perTenant {
+		fmt.Printf("%-12s ops=%-8d errs=%d retries=%d\n", agg.tenant, agg.ops, agg.errs, agg.retries)
+		total.ops += agg.ops
+		total.errs += agg.errs
+		total.retries += agg.retries
+	}
+	fmt.Printf("total        ops=%-8d errs=%d retries=%d  %.0f ops/s (wall)\n",
+		total.ops, total.errs, total.retries, float64(total.ops)/elapsed)
+	if total.errs > 0 {
+		os.Exit(1)
+	}
+}
+
+// run drives the load and returns one tally per tenant, in tenant order.
+// A command counts in ops when the server answers it without ERR, and in
+// errs otherwise; the final COMMIT of each client counts only if it fails,
+// since a failed last batch loses SETs already counted in ops.
+func run(l load) ([]result, error) {
+	if l.clients < 1 || l.tenants < 1 || l.ops < 1 || l.valLen < 0 {
+		return nil, fmt.Errorf("-clients, -tenants and -ops must be at least 1, -value-bytes at least 0")
+	}
+	perClient := make([]result, l.clients)
+	var wg sync.WaitGroup
+	for cl := 0; cl < l.clients; cl++ {
 		wg.Add(1)
 		go func(cl int) {
 			defer wg.Done()
-			tenant := fmt.Sprintf("tenant%d", cl%*tenants)
-			res := result{tenant: tenant}
-			c := server.NewClient(*addr, *seed+int64(cl)+1<<32)
+			res := &perClient[cl]
+			res.tenant = fmt.Sprintf("tenant%d", cl%l.tenants)
+			c := server.NewClient(l.addr, l.seed+int64(cl)+1<<32)
 			defer func() {
 				res.retries = c.Retries()
 				c.Close()
-				results <- res
 			}()
-			if resp, err := c.Use(tenant); err != nil || resp != "OK" {
+			if resp, err := c.Use(res.tenant); err != nil || resp != "OK" {
 				res.errs++
 				return
 			}
-			rng := rand.New(rand.NewSource(*seed + int64(cl)))
-			value := strings.Repeat("x", *valLen)
-			for i := 0; i < *ops; i++ {
-				key := fmt.Sprintf("c%dk%d", cl, rng.Intn(*ops))
+			// A transport error past the retry budget counts like a
+			// server-level ERR reply.
+			failed := func(line string) bool {
+				resp, _, err := c.Do(line)
+				return err != nil || strings.HasPrefix(resp, "ERR")
+			}
+			rng := rand.New(rand.NewSource(l.seed + int64(cl)))
+			value := strings.Repeat("x", l.valLen)
+			for i := 0; i < l.ops; i++ {
+				key := fmt.Sprintf("c%dk%d", cl, rng.Intn(l.ops))
 				line := fmt.Sprintf("SET %s %s", key, value)
 				switch rng.Intn(10) {
 				case 0:
@@ -74,43 +117,28 @@ func main() {
 				case 1, 2, 3:
 					line = "GET " + key
 				}
-				// A transport error past the retry budget counts like a
-				// server-level ERR reply.
-				if resp, _, err := c.Do(line); err != nil || strings.HasPrefix(resp, "ERR") {
+				if failed(line) {
 					res.errs++
 				} else {
 					res.ops++
 				}
 			}
-			c.Do("COMMIT")
+			if failed("COMMIT") {
+				res.errs++
+			}
 			c.Do("QUIT")
 		}(cl)
 	}
 	wg.Wait()
-	close(results)
 
-	perTenant := make(map[string]*result)
-	totalOps, totalErrs, totalRetries := 0, 0, 0
-	for res := range results {
-		agg := perTenant[res.tenant]
-		if agg == nil {
-			agg = &result{tenant: res.tenant}
-			perTenant[res.tenant] = agg
-		}
+	// Client cl serves tenant cl%tenants, so the first min(clients,
+	// tenants) clients name every tenant once, in order.
+	perTenant := perClient[:min(l.clients, l.tenants)]
+	for cl := len(perTenant); cl < l.clients; cl++ {
+		agg, res := &perTenant[cl%l.tenants], perClient[cl]
 		agg.ops += res.ops
 		agg.errs += res.errs
 		agg.retries += res.retries
-		totalOps += res.ops
-		totalErrs += res.errs
-		totalRetries += res.retries
 	}
-	elapsed := time.Since(start).Seconds()
-	for tenant, agg := range perTenant {
-		fmt.Printf("%-12s ops=%-8d errs=%d retries=%d\n", tenant, agg.ops, agg.errs, agg.retries)
-	}
-	fmt.Printf("total        ops=%-8d errs=%d retries=%d  %.0f ops/s (wall)\n",
-		totalOps, totalErrs, totalRetries, float64(totalOps)/elapsed)
-	if totalErrs > 0 {
-		os.Exit(1)
-	}
+	return perTenant, nil
 }

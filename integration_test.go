@@ -20,9 +20,17 @@ import (
 	"share/internal/ycsb"
 )
 
+// smallPages is a device of 512-byte pages and 32-page blocks, small
+// enough for the engines to fill and garbage-collect it within a test.
+func smallPages(blocks int) share.Config {
+	cfg := share.DefaultConfig(blocks)
+	cfg.Geometry.PageSize, cfg.Geometry.PagesPerBlock = 512, 32
+	return cfg
+}
+
 func newStack(t *testing.T, blocks int) (*share.Device, *fsim.FS, *sim.Task) {
 	t.Helper()
-	dev, err := share.OpenDevice(share.DeviceOptions{Blocks: blocks, PageSize: 512, PagesPerBlock: 32})
+	dev, err := share.OpenDevice(smallPages(blocks))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +206,7 @@ func TestIntegrationMixedTenants(t *testing.T) {
 // drive, then use SHARE through it and survive a crash, with the FTL
 // invariants checked throughout.
 func TestIntegrationPublicAPIWithAging(t *testing.T) {
-	dev, err := share.OpenDevice(share.DeviceOptions{Blocks: 256, PageSize: 512, PagesPerBlock: 32})
+	dev, err := share.OpenDevice(smallPages(256))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,13 +2,14 @@ package share_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"share"
 )
 
 func TestOpenDeviceDefaults(t *testing.T) {
-	dev, err := share.OpenDevice(share.DeviceOptions{Blocks: 128})
+	dev, err := share.OpenDevice(share.DefaultConfig(128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,13 +22,10 @@ func TestOpenDeviceDefaults(t *testing.T) {
 }
 
 func TestOpenDeviceOptions(t *testing.T) {
-	dev, err := share.OpenDevice(share.DeviceOptions{
-		Blocks:        128,
-		PageSize:      512,
-		PagesPerBlock: 16,
-		OverProvision: 0.25,
-		ShareTableCap: 250,
-	})
+	cfg := share.DefaultConfig(128)
+	cfg.Geometry.PageSize, cfg.Geometry.PagesPerBlock = 512, 16
+	cfg.FTL.OverProvision, cfg.FTL.ShareTableCap = 0.25, 250
+	dev, err := share.OpenDevice(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +39,9 @@ func TestOpenDeviceOptions(t *testing.T) {
 }
 
 func TestPublicAPISmoke(t *testing.T) {
-	dev, err := share.OpenDevice(share.DeviceOptions{Blocks: 128, PageSize: 512, PagesPerBlock: 16})
+	cfg := share.DefaultConfig(128)
+	cfg.Geometry.PageSize, cfg.Geometry.PagesPerBlock = 512, 16
+	dev, err := share.OpenDevice(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +73,11 @@ func TestPublicAPISmoke(t *testing.T) {
 	}
 	if !bytes.Equal(got, b) {
 		t.Fatal("share lost across crash through the public API")
+	}
+	// One command wider than the atomic limit is refused whole.
+	n := uint32(dev.MaxShareBatch() + 1)
+	if err := dev.Share(task, []share.Pair{{Dst: 0, Src: n, Len: n}}); !errors.Is(err, share.ErrBatch) {
+		t.Fatalf("oversized share = %v, want ErrBatch", err)
 	}
 	if share.DefaultTiming().Program <= 0 {
 		t.Fatal("bad default timing")
